@@ -20,10 +20,15 @@ Two implementations live here:
   edge's support is half that same edge's weight, so an edge is grown at
   two touches (one for zero-weight rails) -- which is what makes the
   integer batch formulation bit-exact per row.
-* The **reference** per-shot implementation (``batched=False``, and the
-  ``_grow``/``_peel`` methods) is the original sequential
-  Delfosse-Nickerson loop, kept as the verification and benchmarking
-  baseline.
+* The **reference** per-shot implementation (the ``_grow``/``_peel``
+  methods) is the sequential Delfosse-Nickerson loop.  It is a production
+  path, not only a baseline: every row the arena flags as not certified
+  bit-identical (a few percent of unique rows on dense, importance-sampled
+  syndromes) is re-decoded through it, and ``batched=False`` or more than
+  62 observables route every row through it.  Its output is held bit for
+  bit to a frozen copy of the original loop in the tests; edge-set
+  iteration order decides the peel, so the loop keeps every container's
+  construction order.
 
 Rows are independent in the arena: predictions are a pure per-row
 function, so batch composition and row order never change the output
@@ -33,13 +38,24 @@ registered decoder).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.decoder.base import BatchDecoder, SparseTables, _unmask_rows
 from repro.decoder.graph import BOUNDARY, DecodingGraph
+from repro.obs import metrics as _metrics
+
+# One increment per path per _decode_unique call.  The reference share is
+# the arena's flagged rows (plus every row when the arena is off); the
+# pair is a deterministic function of the decoded rows, so it merges
+# worker-count invariantly like the decode shot/unique counters.
+_UF_ROWS = _metrics.counter(
+    "repro_uf_rows_total",
+    "Unique syndrome rows union-find decoded, by path: the batched arena "
+    "or the per-shot reference loop.",
+    ("path",),
+)
 
 # Edges whose -log-likelihood weight rails to ~0 (probability pinned at
 # the 0.499999 rail in Edge.weight) are grown in one step: half-edge
@@ -58,19 +74,6 @@ _MASK_OBS_LIMIT = 62
 # Upper bound on rows x max(nodes, edges) elements held live per arena
 # chunk, bounding the dense per-row state tables.
 _ARENA_CHUNK_ELEMS = 1 << 24
-
-
-@dataclass
-class _Cluster:
-    """A growing cluster of detectors (reference implementation)."""
-
-    root: int
-    defects: int
-    touches_boundary: bool
-
-    @property
-    def is_valid(self) -> bool:
-        return self.touches_boundary or self.defects % 2 == 0
 
 
 class _EdgeArrays(NamedTuple):
@@ -104,17 +107,45 @@ def _ragged_ranges(starts: np.ndarray, counts: np.ndarray, total: int) -> np.nda
     return out
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int array (``np.unique`` without the
+    hash table numpy >= 2.3 builds for it, which is ~20x slower here)."""
+    keys = np.sort(keys)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Bool mask marking the first occurrence of every distinct key."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    win = np.zeros(keys.size, dtype=bool)
+    win[order[first]] = True
+    return win
+
+
 def _find_rows(parent: np.ndarray, rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized union-find root lookup with per-query path compression."""
+    """Vectorized union-find root lookup with per-query path compression.
+
+    ``parent`` is a C-contiguous ``(rows, nodes)`` table; lookups go
+    through its flat view (1-D fancy indexing is ~3x cheaper than 2-D).
+    """
     if rows.size == 0:
         return nodes
-    p = parent[rows, nodes]
+    flat = parent.reshape(-1)
+    base = rows * parent.shape[1]
+    p = flat[base + nodes]
     while True:
-        gp = parent[rows, p]
+        gp = flat[base + p]
         if np.array_equal(gp, p):
             break
         p = gp
-    parent[rows, nodes] = p
+    flat[base + nodes] = p
     return p
 
 
@@ -124,15 +155,21 @@ class UnionFindDecoder(BatchDecoder):
     Args:
         graph: decoding graph to grow clusters on.
         batched: when True (default), decode through the vectorized
-            multi-row arena; ``False`` restores the per-shot reference
-            loop (the pre-arena baseline kept for verification and the
-            decode-phase benchmark).
+            multi-row arena, re-decoding the rows it flags through the
+            per-shot reference loop; ``False`` decodes every row through
+            that loop (the pre-arena path, also the decode-phase
+            benchmark's baseline).
     """
 
     def __init__(self, graph: DecodingGraph, *, batched: bool = True) -> None:
         self.graph = graph
         self.batched = batched
-        self._adjacency: Dict[int, List[Tuple[int, float, int]]] = {}
+        # Per node: (neighbor, weight, key) with key the frozenset
+        # ``{node, neighbor}`` built in that element order once, here --
+        # the reference loop's edge sets iterate (and so peel) in the
+        # order their keys were built.
+        self._adjacency: Dict[int, List[Tuple[int, float, frozenset]]] = {}
+        self._edge_masks: Dict[frozenset, int] = {}
         for edge in graph.edges:
             if len(edge.detectors) == 1:
                 u, v = edge.detectors[0], BOUNDARY
@@ -141,19 +178,16 @@ class UnionFindDecoder(BatchDecoder):
             mask = 0
             for obs in edge.observables:
                 mask |= 1 << obs
-            self._adjacency.setdefault(u, []).append((v, edge.weight, mask))
-            self._adjacency.setdefault(v, []).append((u, edge.weight, mask))
+            self._edge_masks[frozenset((u, v))] = mask
+            self._adjacency.setdefault(u, []).append(
+                (v, edge.weight, frozenset((u, v)))
+            )
+            self._adjacency.setdefault(v, []).append(
+                (u, edge.weight, frozenset((v, u)))
+            )
         self._edge_cache: Optional[_EdgeArrays] = None
         self._sparse_cache: "SparseTables | bool | None" = None
         self._token: Optional[str] = None
-
-    def _find(self, parents: Dict[int, int], node: int) -> int:
-        root = node
-        while parents[root] != root:
-            root = parents[root]
-        while parents[node] != root:
-            parents[node], node = root, parents[node]
-        return root
 
     @property
     def num_observables(self) -> int:
@@ -221,7 +255,9 @@ class UnionFindDecoder(BatchDecoder):
             if ok_rows.size and n:
                 eye = np.zeros((ok_rows.size, n), dtype=np.uint8)
                 eye[np.arange(ok_rows.size), ok_rows] = 1
-                singles[ok_rows] = self._decode_unique(eye)
+                # Uncounted: table set-up is not decode traffic, and it
+                # runs once per process (per worker in a pool).
+                singles[ok_rows] = self._decode_rows(eye)[0]
             self._sparse_cache = SparseTables(
                 singles=singles, singles_ok=singles_ok
             ) if n else False
@@ -231,12 +267,21 @@ class UnionFindDecoder(BatchDecoder):
 
     def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode deduplicated syndrome rows through the growth arena."""
+        out, reference_rows = self._decode_rows(syndromes)
+        if _metrics.enabled():
+            _UF_ROWS.labels(path="arena").inc(syndromes.shape[0] - reference_rows)
+            _UF_ROWS.labels(path="reference").inc(reference_rows)
+        return out
+
+    def _decode_rows(self, syndromes: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Uncounted body of :meth:`_decode_unique`; returns the prediction
+        rows and how many of them the per-shot reference loop decoded."""
         num_obs = self.graph.num_observables
         if not self.batched or num_obs > _MASK_OBS_LIMIT:
             out = np.zeros((syndromes.shape[0], num_obs), dtype=np.uint8)
             for i in range(syndromes.shape[0]):
                 out[i] = self._decode_reference(syndromes[i])
-            return out
+            return out, syndromes.shape[0]
         edges = self._edge_arrays()
         rows = syndromes.shape[0]
         width = max(edges.node_count, edges.ea.size, 1)
@@ -254,9 +299,10 @@ class UnionFindDecoder(BatchDecoder):
         # or a grown cycle whose observable mask makes the correction
         # spanning-tree dependent) re-decode through the reference path so
         # the arena is bit-identical to it on every row.
-        for i in np.flatnonzero(flagged):
+        redo = np.flatnonzero(flagged)
+        for i in redo:
             out[i] = self._decode_reference(syndromes[i])
-        return out
+        return out, redo.size
 
     def _edge_arrays(self) -> _EdgeArrays:
         """Canonical flat edge list + CSR incidence, built lazily."""
@@ -265,10 +311,10 @@ class UnionFindDecoder(BatchDecoder):
             merged: Dict[Tuple[int, int], Tuple[float, int]] = {}
             for u, nbrs in self._adjacency.items():
                 ui = n if u == BOUNDARY else u
-                for v, weight, mask in nbrs:
+                for v, weight, edge_key in nbrs:
                     vi = n if v == BOUNDARY else v
                     key = (ui, vi) if ui < vi else (vi, ui)
-                    merged.setdefault(key, (weight, mask))
+                    merged.setdefault(key, (weight, self._edge_masks[edge_key]))
             keys = sorted(merged)
             count = len(keys)
             ea = np.fromiter((k[0] for k in keys), dtype=np.int64, count=count)
@@ -462,7 +508,7 @@ class UnionFindDecoder(BatchDecoder):
         fresh_r = np.concatenate([g_r[~in_a], g_r[~in_b]])
         fresh_n = np.concatenate([ends_a[~in_a], ends_b[~in_b]])
         if fresh_r.size:
-            fresh_keys = np.unique(fresh_r * node_count + fresh_n)
+            fresh_keys = _sorted_unique(fresh_r * node_count + fresh_n)
             fresh_r = fresh_keys // node_count
             fresh_n = fresh_keys % node_count
             in_cl[fresh_r, fresh_n] = True
@@ -480,10 +526,7 @@ class UnionFindDecoder(BatchDecoder):
             rv = rv[merge]
             hi = np.maximum(ru, rv)
             lo = np.minimum(ru, rv)
-            key = g_r[rem] * node_count + hi
-            _, first = np.unique(key, return_index=True)
-            win = np.zeros(rem.size, dtype=bool)
-            win[first] = True
+            win = _first_occurrences(g_r[rem] * node_count + hi)
             widx = rem[win]
             parent[g_r[widx], hi[win]] = lo[win]
             tr.append(g_r[widx])
@@ -520,14 +563,12 @@ class UnionFindDecoder(BatchDecoder):
         num_edges = edges.ea.size
         grown_flat = np.flatnonzero(grown)
         if not tree_rows:
-            if grown_flat.size:
-                flagged[np.unique(grown_flat // num_edges)] = True
+            flagged[grown_flat // num_edges] = True
             return masks
         t_r = np.concatenate(tree_rows)
         t_e = np.concatenate(tree_edges)
         if t_r.size == 0:
-            if grown_flat.size:
-                flagged[np.unique(grown_flat // num_edges)] = True
+            flagged[grown_flat // num_edges] = True
             return masks
         node_count = edges.node_count
         boundary = node_count - 1
@@ -576,8 +617,10 @@ class UnionFindDecoder(BatchDecoder):
             deg[leaves] = 0
         # Certify non-tree grown edges against tree potentials: replaying
         # the peel in reverse assigns phi root-first along every path.
-        tree_flat = t_r * num_edges + t_e
-        cycle_flat = np.setdiff1d(grown_flat, tree_flat)
+        # Tree edges are grown edges, so they index into sorted grown_flat.
+        non_tree = np.ones(grown_flat.size, dtype=bool)
+        non_tree[np.searchsorted(grown_flat, t_r * num_edges + t_e)] = False
+        cycle_flat = grown_flat[non_tree]
         if cycle_flat.size:
             phi = np.zeros(total, dtype=np.int64)
             for leaves, nbr, leaf_mask in reversed(replay):
@@ -594,7 +637,7 @@ class UnionFindDecoder(BatchDecoder):
                 & ((phi[iu] ^ phi[iv]) == edges.mask[c_e])
             )
             if not consistent.all():
-                flagged[np.unique(c_r[~consistent])] = True
+                flagged[c_r[~consistent]] = True
         return masks
 
     def _convergence_error(
@@ -630,84 +673,95 @@ class UnionFindDecoder(BatchDecoder):
 
         Edge growth is discretized: each cluster adds half an edge weight
         per round on its frontier; an edge is grown when the accumulated
-        support reaches its weight.
+        support reaches its weight.  Invalid clusters take their turns
+        sequentially within a round, so a cluster absorbed by an earlier
+        turn skips its own.
         """
+        adjacency = self._adjacency
         parents: Dict[int, int] = {}
-        clusters: Dict[int, _Cluster] = {}
+        # Per root: [defect count, touches boundary].
+        stats: Dict[int, List] = {}
         support: Dict[frozenset, float] = {}
         grown: Set[frozenset] = set()
 
-        def ensure(node: int) -> None:
-            if node not in parents:
-                parents[node] = node
-                clusters[node] = _Cluster(
-                    node, 1 if node in defects else 0, node == BOUNDARY
-                )
+        def find(node: int) -> int:
+            root = node
+            while parents[root] != root:
+                root = parents[root]
+            while parents[node] != root:
+                parents[node], node = root, parents[node]
+            return root
 
         for d in defects:
-            ensure(d)
+            parents[d] = d
+            stats[d] = [1, d == BOUNDARY]
 
-        def invalid_roots() -> List[int]:
-            roots = {self._find(parents, d) for d in defects}
-            return [r for r in roots if not clusters[r].is_valid]
-
-        safety = 0
+        rounds = 0
         while True:
-            bad = invalid_roots()
+            roots = {find(d) for d in defects}
+            bad = [
+                r for r in roots if not (stats[r][1] or stats[r][0] % 2 == 0)
+            ]
             if not bad:
                 return grown
-            safety += 1
-            if safety > _MAX_ROUNDS:
-                state = {
-                    root: (clusters[root].defects, clusters[root].touches_boundary)
-                    for root in bad
-                }
+            rounds += 1
+            if rounds > _MAX_ROUNDS:
+                state = {root: tuple(stats[root]) for root in bad}
                 raise RuntimeError(
                     "union-find growth failed to converge after "
-                    f"{safety - 1} rounds; invalid clusters "
+                    f"{rounds - 1} rounds; invalid clusters "
                     f"(root -> (defects, touches_boundary)): {state}; "
                     f"{len(grown)} edges grown"
                 )
+            # Members per root in node-insertion order.  A turn only ever
+            # absorbs other clusters into its own root, so a later root's
+            # members are unchanged at its turn -- or it has been absorbed
+            # and is no longer a root.
+            members: Dict[int, List[int]] = {}
+            for node in parents:
+                members.setdefault(find(node), []).append(node)
             for root in bad:
-                nodes = [n for n in parents if self._find(parents, n) == root]
-                for node in nodes:
-                    for neighbor, weight, _mask in self._adjacency.get(node, ()):
-                        key = frozenset((node, neighbor))
+                if parents[root] != root:
+                    continue
+                root_stats = stats[root]
+                for node in members[root]:
+                    for neighbor, weight, key in adjacency.get(node, ()):
                         if key in grown:
                             continue
                         if weight <= _ZERO_WEIGHT:
                             # Effectively-free edge: grow it immediately.
-                            support[key] = weight
+                            grown_support = support[key] = weight
                         else:
-                            support[key] = support.get(key, 0.0) + weight / 2
-                        if support[key] >= weight:
-                            grown.add(key)
-                            ensure(neighbor)
-                            self._union(parents, clusters, node, neighbor)
-
-    def _union(self, parents, clusters, a: int, b: int) -> None:
-        ra = self._find(parents, a)
-        rb = self._find(parents, b)
-        if ra == rb:
-            return
-        parents[rb] = ra
-        clusters[ra] = _Cluster(
-            ra,
-            clusters[ra].defects + clusters[rb].defects,
-            clusters[ra].touches_boundary or clusters[rb].touches_boundary,
-        )
+                            grown_support = support[key] = (
+                                support.get(key, 0.0) + weight / 2
+                            )
+                        if grown_support < weight:
+                            continue
+                        grown.add(key)
+                        if neighbor not in parents:
+                            parents[neighbor] = neighbor
+                            stats[neighbor] = [
+                                1 if neighbor in defects else 0,
+                                neighbor == BOUNDARY,
+                            ]
+                        other = find(neighbor)
+                        if other != root:
+                            parents[other] = root
+                            other_stats = stats.pop(other)
+                            root_stats[0] += other_stats[0]
+                            root_stats[1] = root_stats[1] or other_stats[1]
 
     # -- reference peeling ---------------------------------------------------
 
     def _peel(self, grown: Set[frozenset], defects: Set[int]) -> int:
         """Peel spanning forests of the grown edges; return observable mask."""
+        edge_masks = self._edge_masks
         adjacency: Dict[int, List[Tuple[int, int]]] = {}
         for key in grown:
-            nodes = tuple(key)
-            if len(nodes) == 1:
+            if len(key) != 2:
                 continue
-            u, v = nodes
-            mask = self._edge_mask(u, v)
+            u, v = key
+            mask = edge_masks[key]
             adjacency.setdefault(u, []).append((v, mask))
             adjacency.setdefault(v, []).append((u, mask))
         # Build spanning trees rooted at boundary (if present) or any node.
@@ -715,7 +769,9 @@ class UnionFindDecoder(BatchDecoder):
         total_mask = 0
         nodes = list(adjacency)
         # Prefer roots at the boundary so dangling defects peel onto it.
-        nodes.sort(key=lambda n: 0 if n == BOUNDARY else 1)
+        if BOUNDARY in adjacency:
+            nodes.remove(BOUNDARY)
+            nodes.insert(0, BOUNDARY)
         for start in nodes:
             if start in visited:
                 continue
@@ -727,7 +783,7 @@ class UnionFindDecoder(BatchDecoder):
                     continue
                 visited.add(node)
                 order.append((node, parent, mask))
-                for neighbor, edge_mask in adjacency.get(node, ()):
+                for neighbor, edge_mask in adjacency[node]:
                     if neighbor not in visited:
                         stack.append((neighbor, node, edge_mask))
             # Peel leaves upward: flip an edge when its child carries a defect.
@@ -742,12 +798,3 @@ class UnionFindDecoder(BatchDecoder):
                     carry[parent] += 1
                     carry[node] = 0
         return total_mask
-
-    def _edge_mask(self, u: int, v: int) -> int:
-        edge = self.graph.edge_between(u, v)
-        if edge is None:
-            return 0
-        mask = 0
-        for obs in edge.observables:
-            mask |= 1 << obs
-        return mask

@@ -187,10 +187,17 @@ class ImportanceSampler:
         llr = np.full(shots, self._base_llr, dtype=np.float64)
         total_firings = 0
         q = self._q
+        uniform = np.empty((min(_CHUNK_MECHS, len(q)), shots))
+        fired = np.empty(uniform.shape, dtype=bool)
         for start in range(0, len(q), _CHUNK_MECHS):
             stop = min(start + _CHUNK_MECHS, len(q))
-            fired = rng.random((stop - start, shots)) < q[start:stop, None]
-            mech_idx, shot_idx = np.nonzero(fired)
+            block = uniform[:stop - start]
+            rng.random(out=block)
+            hits = fired[:stop - start]
+            np.less(block, q[start:stop, None], out=hits)
+            # Flat C-order positions: mechanism-major, shots ascending --
+            # the firing order a 2-D np.nonzero walks.
+            mech_idx, shot_idx = np.divmod(np.flatnonzero(hits), shots)
             if not mech_idx.size:
                 continue
             total_firings += mech_idx.size

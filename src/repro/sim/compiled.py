@@ -546,12 +546,15 @@ def transpose_packed(planes: np.ndarray, count: int) -> np.ndarray:
             bits are discarded).
 
     Returns:
-        ``(count, ceil(rows/8))`` uint8 array: item ``i``'s row holds the
-        original column ``i`` bit-packed -- e.g. shot-major detector keys
-        ready for dedup, from detector-major sample bitplanes.
+        C-contiguous ``(count, ceil(rows/8))`` uint8 array: item ``i``'s
+        row holds the original column ``i`` bit-packed -- e.g. shot-major
+        detector keys ready for dedup, from detector-major sample
+        bitplanes.
     """
     rows = planes.shape[0]
     if rows == 0:
         return np.zeros((count, 0), dtype=np.uint8)
     bits = np.unpackbits(planes, axis=1, count=count)
-    return np.packbits(bits.T, axis=1)
+    # Packing the transposed view yields Fortran order; row keys (the
+    # dedup's fixed-width void view) need each row contiguous.
+    return np.ascontiguousarray(np.packbits(bits.T, axis=1))

@@ -15,6 +15,7 @@ import pytest
 from repro.analysis import available_passes, check_reweight, verify_dem
 from repro.analysis.diagnostics import VerificationError
 from repro.decoder.engine import DecodingEngine, EngineResult
+from repro.estimator import rare as rare_module
 from repro.estimator.rare import (
     ImportanceSampler,
     rare_engine,
@@ -261,6 +262,43 @@ class TestImportanceSampler:
         # Firings XOR (rarely overlapping at p~3e-3), so the observed bit
         # count sits just under the expected firing-bit count.
         assert bits.sum() / 20_000 == pytest.approx(expected, rel=0.1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 901])
+    def test_stream_pinned_to_documented_draw(self, seed):
+        """sample_weighted == an independent re-derivation of its draw:
+        one (chunk, shots) uniform block per _CHUNK_MECHS mechanisms,
+        mechanism k firing in shot s where u[k, s] < q_k."""
+        dem = extract_dem(memory_circuit(5, 2, 3e-3))
+        sampler = ImportanceSampler(dem, inflation=8.0)
+        shots = 203  # not a multiple of 8: exercises the packed pad bits
+        det, obs, llr = sampler.sample_weighted(
+            shots, np.random.default_rng(seed)
+        )
+
+        p = np.array([m.probability for m in dem.mechanisms])
+        q = np.array([m.probability for m in sampler.proposal.mechanisms])
+        not_term = np.log1p(-p) - np.log1p(-q)
+        delta = np.log(p) - np.log(q) - not_term
+        chunk = rare_module._CHUNK_MECHS
+        assert len(q) > chunk  # more than one block, the last one partial
+        rng = np.random.default_rng(seed)
+        det_bits = np.zeros((shots, dem.num_detectors), dtype=np.uint8)
+        obs_bits = np.zeros((shots, dem.num_observables), dtype=np.uint8)
+        expected_llr = np.full(shots, not_term.sum())
+        for start in range(0, len(q), chunk):
+            stop = min(start + chunk, len(q))
+            u = rng.random((stop - start, shots))
+            mech_idx, shot_idx = np.nonzero(u < q[start:stop, None])
+            mech_idx += start
+            for k, s in zip(mech_idx, shot_idx):
+                det_bits[s, list(dem.mechanisms[k].detectors)] ^= 1
+                obs_bits[s, list(dem.mechanisms[k].observables)] ^= 1
+            expected_llr += np.bincount(
+                shot_idx, weights=delta[mech_idx], minlength=shots
+            )
+        assert np.array_equal(det, np.packbits(det_bits, axis=1))
+        assert np.array_equal(obs, np.packbits(obs_bits, axis=1))
+        assert np.array_equal(llr, expected_llr)
 
     def test_weighted_mean_is_unbiased_for_known_model(self):
         # Two-mechanism model where the failure probability is exact:

@@ -241,9 +241,31 @@ class TestCompiledProgramStructure:
         planes = np.packbits(bits, axis=1)  # (13 rows, 29 items)
         keys = transpose_packed(planes, 29)
         assert keys.shape == (29, 2)
+        assert keys.flags.c_contiguous
         np.testing.assert_array_equal(
             np.unpackbits(keys, axis=1, count=13), bits.T
         )
+
+
+class TestPackedKeyLayout:
+    """sample_packed keys are C-contiguous rows on every program kind,
+    so they view as fixed-width void keys without a copy."""
+
+    @pytest.mark.parametrize("mode", ["linear", "periodic"])
+    def test_keys_are_c_contiguous_and_exact(self, mode):
+        circuit = memory_circuit(3, 5, 0.01)
+        sim = FrameSimulator(circuit, compile_mode=mode)
+        det_keys, obs_keys = sim.sample_packed(
+            37, rng=np.random.default_rng(8)
+        )
+        det_ref, obs_ref = sim.sample(37, rng=np.random.default_rng(8))
+        for keys, ref in ((det_keys, det_ref), (obs_keys, obs_ref)):
+            assert keys.flags.c_contiguous
+            assert keys.shape == (37, (ref.shape[1] + 7) // 8)
+            np.testing.assert_array_equal(
+                np.unpackbits(keys, axis=1, count=ref.shape[1]), ref
+            )
+        det_keys.view(np.dtype((np.void, det_keys.shape[1])))
 
 
 class TestTableauCrossCheck:
