@@ -180,10 +180,11 @@ def _check_decoder_batch_invariance() -> Iterator[Diagnostic]:
     from repro.sim.frame import FrameSimulator
 
     circuit, dem, meta = _fixture()
-    detectors, _ = FrameSimulator(circuit).sample(
+    det_keys, _ = FrameSimulator(circuit).sample_packed(
         96, rng=np.random.default_rng(20260808)
     )
-    unique = np.unique(np.asarray(detectors, dtype=np.uint8), axis=0)
+    detectors = np.unpackbits(det_keys, axis=1, count=circuit.num_detectors)
+    unique = np.unique(detectors, axis=0)
     half = unique.shape[0] // 2
     for name in available_decoders():
         try:

@@ -105,6 +105,16 @@ _ENGINE_WEIGHT_VARIANCE = _metrics.gauge(
     "repro_engine_last_weight_variance",
     "Importance-weight variance of the most recent weighted engine run.",
 )
+# One observation per make_decoder call, in the process that builds the
+# decoder (workers receive it pickled), so the count is worker-count
+# invariant.  Buckets extend past LATENCY_BUCKETS' 10 s: the networkx MWPM
+# build alone takes ~30 s at d=11.
+_DECODER_BUILD_SECONDS = _metrics.histogram(
+    "repro_decoder_build_seconds",
+    "Decoder construction time (make_decoder) by registry name.",
+    ("decoder",),
+    bounds=_metrics.LATENCY_BUCKETS + (25.0, 50.0, 100.0),
+)
 
 # -- decoder registry ----------------------------------------------------------
 
@@ -150,7 +160,13 @@ def make_decoder(
         raise ValueError(
             f"unknown decoder {name!r}; available: {available_decoders()}"
         )
-    return factory(dem, detector_meta=detector_meta, basis=basis)
+    start = time.perf_counter()
+    decoder = factory(dem, detector_meta=detector_meta, basis=basis)
+    if _metrics.enabled():
+        _DECODER_BUILD_SECONDS.labels(decoder=name).observe(
+            time.perf_counter() - start
+        )
+    return decoder
 
 
 def _make_mwpm(dem, *, detector_meta=None, basis="Z"):

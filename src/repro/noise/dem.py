@@ -304,10 +304,7 @@ def _linear_mechanisms(circuit: "Circuit") -> List[ErrorMechanism]:
                     frame_z[row, q] ^= 1
                 noise_index += 1
         else:
-            sim._apply(
-                op, frame_x, frame_z, flips, detectors, observables, cursor,
-                noisy=False,
-            )
+            sim._apply(op, frame_x, frame_z, flips, detectors, observables, cursor)
     return [
         ErrorMechanism(
             probability=prob,
@@ -492,16 +489,15 @@ def _mechanism_symptoms_packed(circuit: "Circuit", mechanisms, regions):
         CompiledProgram,
         execute_steps,
         injection_noise,
+        zero_planes,
     )
     from repro.sim.ops import NOISE
 
     program = CompiledProgram(circuit)
     count = len(mechanisms)
     words = (count + 7) // 8
-    padded = 8 * ((words + 7) // 8)
-    x = np.zeros((program.num_qubits, padded), dtype=np.uint8)
-    z = np.zeros((program.num_qubits, padded), dtype=np.uint8)
-    flips = np.zeros((program.num_measurements, padded), dtype=np.uint8)
+    frames = zero_planes(2 * program.num_qubits, count)
+    flips = zero_planes(program.num_measurements, count)
 
     injections = []
     mech_regions: List[object] = []
@@ -526,21 +522,11 @@ def _mechanism_symptoms_packed(circuit: "Circuit", mechanisms, regions):
         injections.append(_pack_injection(x_rows, x_cols) + _pack_injection(z_rows, z_cols))
 
     execute_steps(
-        program.steps,
-        x.view(np.uint64),
-        z.view(np.uint64),
-        flips.view(np.uint64),
-        x[:, :words],
-        z[:, :words],
-        injection_noise(injections),
+        program.steps, frames, flips, injection_noise(injections, frames)
     )
 
-    detectors = np.zeros((program.num_detectors, padded), dtype=np.uint8)
-    observables = np.zeros((program.num_observables, padded), dtype=np.uint8)
-    if program._det_meas.size:
-        np.bitwise_xor.at(detectors, program._det_row, flips[program._det_meas])
-    if program._obs_meas.size:
-        np.bitwise_xor.at(observables, program._obs_row, flips[program._obs_meas])
+    detectors = program.detector_map.apply(flips)
+    observables = program.observable_map.apply(flips)
     det_cols = np.unpackbits(detectors[:, :words], axis=1, count=count).T
     obs_cols = np.unpackbits(observables[:, :words], axis=1, count=count).T
     symptoms = list(zip(_grouped_indices(det_cols), _grouped_indices(obs_cols)))

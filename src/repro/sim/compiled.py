@@ -19,18 +19,21 @@ SIMD-style stabilizer samplers do:
   processing 64 shots per ALU op instead of one.
 * **Sparse GF(2) record maps** -- DETECTOR / OBSERVABLE_INCLUDE
   annotations are lowered to COO index arrays over measurement records;
-  detector extraction is one unbuffered XOR-reduce
-  (:func:`numpy.bitwise_xor.at`) at the end of the pass instead of per-op
-  column loops.
-* **Bit-identical noise** -- noise steps draw exactly one
-  ``rng.random((shots, targets))`` block per op, in op order, mirroring
-  the reference sampler's stream exactly; the hit masks are bit-packed
-  and XORed into the frame rows.  ``DEPOLARIZE2`` derives its Pauli-pair
-  outcome from the *same* uniform draw as the hit decision
-  (:func:`depolarize2_pauli_indices`), so for the same seed the packed
-  pipeline produces *bit-identical* detector/observable samples.  The
-  equivalence is property-tested in ``tests/test_sim_compiled.py``; the
-  unpacked sampler remains the reference oracle.
+  detector extraction is one sorted XOR-reduce (:class:`RecordMap`) at
+  the end of the pass instead of per-op column loops.
+* **Sparse noise draws** -- a noise step never draws per noise location.
+  It samples only the faults that fire (:func:`draw_faults`): a hit
+  count, a uniform subset of (target, shot) positions, and one outcome
+  per hit.  Its cost scales with the faults, not with targets x shots:
+  at p=1e-3 a d=11 shot has ~10 faults but ~10^4 noise locations.  The
+  hits are XOR-scattered as single bits into the packed planes
+  (``(row, byte)`` plus a bit mask, the way :func:`injection_noise`
+  plants DEM mechanisms), which stays exact on duplicate targets.  The
+  reference sampler calls the same :func:`draw_faults` on the same
+  stream, so for the same seed both samplers produce *bit-identical*
+  detector/observable samples.  The equivalence is property-tested in
+  ``tests/test_sim_compiled.py``; the unpacked sampler remains the
+  reference oracle.
 
 Shot-major vs detector-major: frames pack shots along rows so gate ops are
 contiguous; decoders key on per-shot syndromes.  :func:`transpose_packed`
@@ -40,26 +43,147 @@ converts between the two layouts once per sample at the decoder boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs import metrics as _metrics
 from repro.sim.circuit import Circuit
 from repro.sim.ops import (
     CANONICAL_FRAME_GATE as _CANONICAL,
     DROPPED_BY_COMPILER as _DROPPED,
     FUSABLE as _FUSABLE,
     NOISE as _NOISE,
-    PAULI_1Q,
+    NOISE_2Q as _NOISE_2Q,
     PAULI_1Q_CODES,
-    PAULI_2Q,
     PAULI_2Q_CODES,
 )
 
-# Flip-code lookup tables for the biased Pauli channels, indexed by the
-# searchsorted outcome; the trailing identity entry (code 0) is the miss.
-PC1_CODE_TABLE = np.array(PAULI_1Q_CODES + (0,), dtype=np.uint8)
-PC2_CODE_TABLE = np.array(PAULI_2Q_CODES + (0,), dtype=np.uint8)
+# The sparse sampler's cost driver: one increment per sample call (both
+# samplers), by the faults that call drew.  Faults are a deterministic
+# function of the shard seed, so shard deltas merge worker-count
+# invariantly.
+FAULTS = _metrics.counter(
+    "repro_sim_faults_total",
+    "Faults drawn by the Pauli-frame samplers (sparse noise draws).",
+)
+
+# Frame-flip code of a constant-outcome channel (bit 1 = X, bit 0 = Z).
+_FIXED_CODE = {"X_ERROR": 2, "Y_ERROR": 3, "Z_ERROR": 1}
+_EMPTY = np.zeros(0, dtype=np.intp)
+# Slot bit masks as columns, per slot count: slot s is bit 1 << (slots-1-s).
+_SLOT_BITS = {
+    slots: (1 << np.arange(slots - 1, -1, -1, dtype=np.uint8))[:, None]
+    for slots in (2, 4)
+}
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseChannel:
+    """One noise op's fault distribution per target (qubit or pair).
+
+    ``p`` is the probability that the channel fires on one target in one
+    shot.  A firing's outcome is a frame-flip code from ``codes``: the
+    only code when there is one (``X/Y/Z_ERROR``), uniform over them when
+    ``boundaries`` is ``None`` (``DEPOLARIZE1/2``), else the outcome a
+    uniform lands on between the interior ``boundaries`` of the
+    normalised cumulative weights (``PAULI_CHANNEL_1/2``).
+
+    Codes carry one bit per flip *slot*; slot ``s`` is bit
+    ``1 << (slots - 1 - s)`` and flips plane ``s & 1`` (0 = X, 1 = Z) of
+    target operand ``s >> 1``.  Single-qubit channels have slots
+    (X, Z) -- :data:`~repro.sim.ops.PAULI_1Q_CODES` -- and pair channels
+    (X first, Z first, X second, Z second) --
+    :data:`~repro.sim.ops.PAULI_2Q_CODES`.
+    """
+
+    p: float
+    codes: np.ndarray
+    boundaries: Optional[np.ndarray]
+    slots: int
+
+    @classmethod
+    def from_op(cls, op) -> "NoiseChannel":
+        slots = 4 if op.name in _NOISE_2Q else 2
+        if op.name in _FIXED_CODE:
+            code = np.array([_FIXED_CODE[op.name]], np.uint8)
+            return cls(float(op.arg), code, None, slots)
+        codes = np.array(PAULI_2Q_CODES if slots == 4 else PAULI_1Q_CODES, np.uint8)
+        if not op.args:  # DEPOLARIZE1/2: uniform over the outcomes
+            return cls(float(op.arg), codes, None, slots)
+        # PAULI_CHANNEL_1/2: outcome k fires with probability args[k].
+        cumulative = np.cumsum(np.asarray(op.args, dtype=float))
+        p = min(float(cumulative[-1]), 1.0)
+        boundaries = cumulative[:-1] / p if p > 0 else cumulative[:-1]
+        return cls(p, codes, boundaries, slots)
+
+
+class Faults(NamedTuple):
+    """A noise step's fired flips, one entry per (slot, target, shot) bit.
+
+    ``count`` is the number of faults (channel firings) drawn; a firing
+    contributes one entry per set bit of its outcome code.
+    """
+
+    count: int
+    slot: np.ndarray
+    target: np.ndarray
+    shot: np.ndarray
+
+
+def draw_faults(
+    rng: np.random.Generator, channel: NoiseChannel, targets: int, shots: int
+) -> Faults:
+    """Sample the faults one noise step fires over ``targets x shots``.
+
+    The draw contract, which defines the sampled stream of both samplers
+    (the compiled program and the reference :meth:`FrameSimulator.sample`
+    call this one function, in op order): over the flattened target-major
+    ``(targets, shots)`` block of ``n = targets * shots`` positions,
+
+    1. ``k = rng.binomial(n, p)`` faults (nothing is drawn when ``n == 0``);
+    2. if ``k > 0``, their positions
+       ``rng.choice(n, k, replace=False, shuffle=False)``, position
+       ``i`` being target ``i // shots`` in shot ``i % shots``;
+    3. one outcome per fault, in the order of step 2: nothing for a
+       single-code channel, ``rng.integers(len(codes), size=k)`` for a
+       uniform one, and ``np.searchsorted(boundaries, rng.random(k),
+       side="right")`` for a weighted one.
+
+    Returns the fired flips slot-major (all slot-0 bits, then slot 1, ...).
+    """
+    n = targets * shots
+    if n == 0:
+        return Faults(0, _EMPTY, _EMPTY, _EMPTY)
+    k = int(rng.binomial(n, channel.p))
+    if k == 0:
+        return Faults(0, _EMPTY, _EMPTY, _EMPTY)
+    positions = rng.choice(n, k, replace=False, shuffle=False)
+    codes = channel.codes
+    if codes.size == 1:
+        code = np.broadcast_to(codes, (k,))
+    elif channel.boundaries is None:
+        code = codes[rng.integers(codes.size, size=k)]
+    else:
+        code = codes[
+            np.searchsorted(channel.boundaries, rng.random(k), side="right")
+        ]
+    target, shot = np.divmod(positions, shots)
+    slot, fault = np.nonzero(code & _SLOT_BITS[channel.slots])
+    return Faults(k, slot, target[fault], shot[fault])
+
+
+def noise_sites(op) -> np.ndarray:
+    """A noise op's target operands as an ``(operands, targets)`` array.
+
+    Row 0 holds the qubits (single-qubit channels) or the first qubits of
+    the pairs; row 1 the pairs' second qubits.  Flip slot ``s`` of
+    :class:`NoiseChannel` lands on ``sites[s >> 1]``.
+    """
+    qubits = _index_array(op.targets)
+    if op.name in _NOISE_2Q:
+        return np.stack([qubits[0::2], qubits[1::2]])
+    return qubits[None, :]
 
 
 def _index_array(values: Sequence[int]) -> np.ndarray:
@@ -178,33 +302,9 @@ def lower_ops(ops, meas_start: int = 0, det_start: int = 0) -> LoweredSegment:
                 obs_meas.append(rec)
                 obs_row.append(index)
             continue
-        if name in ("X_ERROR", "Z_ERROR", "Y_ERROR", "DEPOLARIZE1"):
+        if name in _NOISE:
             flush()
-            qs = _index_array(op.targets)
-            unique = len(set(op.targets)) == len(op.targets)
-            steps.append((name, qs, float(op.arg), unique))
-            continue
-        if name == "PAULI_CHANNEL_1":
-            flush()
-            qs = _index_array(op.targets)
-            unique = len(set(op.targets)) == len(op.targets)
-            steps.append((name, qs, np.cumsum(np.asarray(op.args)), unique))
-            continue
-        if name == "DEPOLARIZE2":
-            flush()
-            firsts = _index_array(op.targets[0::2])
-            seconds = _index_array(op.targets[1::2])
-            unique = len(set(op.targets)) == len(op.targets)
-            steps.append((name, firsts, seconds, unique, float(op.arg)))
-            continue
-        if name == "PAULI_CHANNEL_2":
-            flush()
-            firsts = _index_array(op.targets[0::2])
-            seconds = _index_array(op.targets[1::2])
-            unique = len(set(op.targets)) == len(op.targets)
-            steps.append(
-                (name, firsts, seconds, unique, np.cumsum(np.asarray(op.args)))
-            )
+            steps.append((name, noise_sites(op), NoiseChannel.from_op(op)))
             continue
         if name not in _FUSABLE:
             # Same contract as FrameSimulator._apply: unsupported ops
@@ -249,6 +349,12 @@ class CompiledProgram:
         self._det_row = segment.det_row
         self._obs_meas = segment.obs_meas
         self._obs_row = segment.obs_row
+        self.detector_map = RecordMap(
+            segment.det_meas, segment.det_row, self.num_detectors
+        )
+        self.observable_map = RecordMap(
+            segment.obs_meas, segment.obs_row, self.num_observables
+        )
 
     # -- execution -----------------------------------------------------------
 
@@ -265,31 +371,45 @@ class CompiledProgram:
         """
         if shots < 0:
             raise ValueError("shots must be >= 0")
+        frames = zero_planes(2 * self.num_qubits, shots)
+        flips = zero_planes(self.num_measurements, shots)
+        noise = FaultSampler(rng, shots, frames)
+        execute_steps(self.steps, frames, flips, noise)
+        if _metrics.enabled():
+            FAULTS.inc(noise.faults)
+
         words = (shots + 7) // 8
-        padded = 8 * ((words + 7) // 8)  # rows double as uint64 word views
-        x = np.zeros((self.num_qubits, padded), dtype=np.uint8)
-        z = np.zeros((self.num_qubits, padded), dtype=np.uint8)
-        flips = np.zeros((self.num_measurements, padded), dtype=np.uint8)
-        x64 = x.view(np.uint64)
-        z64 = z.view(np.uint64)
-        f64 = flips.view(np.uint64)
-        xw = x[:, :words]
-        zw = z[:, :words]
-
-        # One direct rng.random dispatch per noise op, in op order -- the
-        # reference sampler's exact stream.
-        noise = sampling_noise(lambda targets: rng.random((targets, shots)))
-        execute_steps(self.steps, x64, z64, f64, xw, zw, noise)
-
-        detectors = np.zeros((self.num_detectors, padded), dtype=np.uint8)
-        observables = np.zeros((self.num_observables, padded), dtype=np.uint8)
-        # Sparse GF(2) record maps: one unbuffered XOR-reduce scatters every
-        # measurement-flip row into the detector/observable rows it feeds.
-        if self._det_meas.size:
-            np.bitwise_xor.at(detectors, self._det_row, flips[self._det_meas])
-        if self._obs_meas.size:
-            np.bitwise_xor.at(observables, self._obs_row, flips[self._obs_meas])
+        detectors = self.detector_map.apply(flips)
+        observables = self.observable_map.apply(flips)
         return detectors[:, :words], observables[:, :words]
+
+
+class RecordMap:
+    """Sparse GF(2) map from measurement-flip rows to output rows.
+
+    Built from COO pairs -- measurement record ``meas[i]`` feeds output
+    row ``rows[i]`` (a detector or an observable).  The pairs are sorted
+    by output row once, so :meth:`apply` is one gather of the flip rows
+    plus one ``np.bitwise_xor.reduceat`` over uint64 words, instead of an
+    unbuffered per-entry XOR scatter.
+    """
+
+    def __init__(self, meas: np.ndarray, rows: np.ndarray, num_rows: int) -> None:
+        order = np.argsort(rows, kind="stable")
+        sorted_rows = rows[order]
+        self._meas = meas[order]
+        self._starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
+        self._rows = sorted_rows[self._starts]
+        self.num_rows = num_rows
+
+    def apply(self, flips: np.ndarray) -> np.ndarray:
+        """``(num_rows, padded)`` output planes from padded flip planes."""
+        out = np.zeros((self.num_rows, flips.shape[1]), dtype=np.uint8)
+        if self._meas.size:
+            out.view(np.uint64)[self._rows] = np.bitwise_xor.reduceat(
+                flips.view(np.uint64)[self._meas], self._starts, axis=0
+            )
+        return out
 
 
 # -- step execution ------------------------------------------------------------
@@ -298,41 +418,45 @@ class CompiledProgram:
 # the canonical op name, so the op table doubles as the step-kind table).
 _NOISE_KINDS = frozenset(_NOISE)
 
-# Kinds whose draw block is (len(step[1]), shots): single-qubit channels
-# index by target, pair channels by pair (step[1] = first qubits).
-_DRAWING_KINDS = (
-    "X_ERROR",
-    "Z_ERROR",
-    "Y_ERROR",
-    "DEPOLARIZE1",
-    "PAULI_CHANNEL_1",
-    "PAULI_CHANNEL_2",
-)
+NoiseHandler = Callable[[tuple], None]
 
-NoiseHandler = Callable[[tuple, np.ndarray, np.ndarray], None]
+
+def zero_planes(rows: int, count: int) -> np.ndarray:
+    """Zeroed ``(rows, padded)`` bit-packed planes holding ``count`` bits.
+
+    Bit ``j`` of byte ``w`` of a row is item ``8 w + j`` (``np.packbits``
+    big bit order); rows are padded to whole uint64 words so they double
+    as word views.
+    """
+    words = (count + 7) // 8
+    return np.zeros((rows, 8 * ((words + 7) // 8)), dtype=np.uint8)
 
 
 def execute_steps(
     steps: Sequence[tuple],
-    x64: np.ndarray,
-    z64: np.ndarray,
-    f64: np.ndarray,
-    xw: np.ndarray,
-    zw: np.ndarray,
+    frames: np.ndarray,
+    flips: np.ndarray,
     noise: NoiseHandler,
     slot_offset: int = 0,
 ) -> None:
     """Interpret fused steps over packed planes with pluggable noise.
 
-    Deterministic steps update the uint64 word views in place; each noise
-    step is delegated to ``noise(step, xw, zw)`` -- a sampling handler
-    drawing uniforms (:func:`sampling_noise`) or a deterministic injector
-    (:func:`injection_noise`, for DEM mechanism propagation).
+    ``frames`` stacks the X frame rows over the Z frame rows
+    (``(2 * num_qubits, padded)``, see :func:`zero_planes`) and ``flips``
+    holds one row per measurement record.  Deterministic steps update
+    their uint64 word views in place; each noise step is delegated to
+    ``noise(step)`` -- a sampler drawing faults (:class:`FaultSampler`)
+    or a deterministic injector (:func:`injection_noise`, for DEM
+    mechanism propagation).
 
     ``slot_offset`` shifts every measurement record slot, which is how a
     periodic program replays one lowered round body into successive
     record windows of the same ``flips`` plane.
     """
+    num_qubits = frames.shape[0] // 2
+    x64 = frames[:num_qubits].view(np.uint64)
+    z64 = frames[num_qubits:].view(np.uint64)
+    f64 = flips.view(np.uint64)
     for step in steps:
         kind = step[0]
         if kind == "CX":
@@ -372,169 +496,70 @@ def execute_steps(
             slot += slot_offset
             f64[slot : slot + qs.size] = z64[qs]
         elif kind in _NOISE_KINDS:
-            noise(step, xw, zw)
+            noise(step)
         else:  # pragma: no cover - compile emits only the kinds above
             raise ValueError(f"unknown compiled step kind {kind!r}")
 
 
-def sampling_noise(draw: Callable[[int], np.ndarray]) -> NoiseHandler:
-    """Noise handler applying channels from a uniform-draw source.
+class FaultSampler:
+    """Noise handler sampling each step's faults into packed frames.
 
-    ``draw(targets)`` must return a ``(targets, shots)`` float64 block of
-    uniforms.  The handler consumes exactly one block per noise step, in
-    step order, with the same shapes and comparisons as the reference
-    sampler -- the draw source controls only *where* the uniforms come
-    from (a direct ``rng.random`` dispatch, or a slice of a fused
-    pre-drawn buffer), never their order or values, which is what keeps
-    every execution path bit-identical per seed.
+    Every noise step ``(kind, sites, channel)`` draws its faults with
+    :func:`draw_faults` and XOR-scatters each fired flip as one bit:
+    slot ``s`` of a fault on target ``t`` in shot ``j`` toggles bit
+    ``j % 8`` (most significant first) of byte ``j // 8`` in frame row
+    ``sites[s >> 1, t] + (s & 1) * num_qubits`` (X rows, then Z rows).
+    One unbuffered ``np.bitwise_xor.at`` over the flat planes applies a
+    step, so repeated targets and coinciding flips stay exact.
+    ``faults`` accumulates the faults drawn.
     """
 
-    def apply(step: tuple, xw: np.ndarray, zw: np.ndarray) -> None:
-        kind = step[0]
-        if kind == "X_ERROR":
-            _, qs, p, unique = step
-            hit = draw(qs.size) < p
-            _xor_packed(xw, qs, np.packbits(hit, axis=1), unique)
-        elif kind == "Z_ERROR":
-            _, qs, p, unique = step
-            hit = draw(qs.size) < p
-            _xor_packed(zw, qs, np.packbits(hit, axis=1), unique)
-        elif kind == "Y_ERROR":
-            _, qs, p, unique = step
-            hit = draw(qs.size) < p
-            packed = np.packbits(hit, axis=1)
-            _xor_packed(xw, qs, packed, unique)
-            _xor_packed(zw, qs, packed, unique)
-        elif kind == "DEPOLARIZE1":
-            _, qs, p, unique = step
-            # [0, p) split in thirds X/Y/Z, same comparisons as the
-            # reference sampler on the same (targets, shots) draw.
-            block = draw(qs.size)
-            x_hit = block < 2 * p / 3
-            z_hit = (block >= p / 3) & (block < p)
-            _xor_packed(xw, qs, np.packbits(x_hit, axis=1), unique)
-            _xor_packed(zw, qs, np.packbits(z_hit, axis=1), unique)
-        elif kind == "DEPOLARIZE2":
-            _, firsts, seconds, unique, p = step
-            if p > 0:
-                code = depolarize2_codes(draw(firsts.size), p)
-                # Code bits are the four flip planes; np.packbits
-                # treats any nonzero byte as a set bit.
-                _xor_packed(xw, firsts, np.packbits(code & 8, axis=1), unique)
-                _xor_packed(zw, firsts, np.packbits(code & 4, axis=1), unique)
-                _xor_packed(xw, seconds, np.packbits(code & 2, axis=1), unique)
-                _xor_packed(zw, seconds, np.packbits(code & 1, axis=1), unique)
-        elif kind == "PAULI_CHANNEL_1":
-            _, qs, cum, unique = step
-            code = pauli_channel_codes(draw(qs.size), cum, PC1_CODE_TABLE)
-            _xor_packed(xw, qs, np.packbits(code & 2, axis=1), unique)
-            _xor_packed(zw, qs, np.packbits(code & 1, axis=1), unique)
-        elif kind == "PAULI_CHANNEL_2":
-            _, firsts, seconds, unique, cum = step
-            code = pauli_channel_codes(draw(firsts.size), cum, PC2_CODE_TABLE)
-            _xor_packed(xw, firsts, np.packbits(code & 8, axis=1), unique)
-            _xor_packed(zw, firsts, np.packbits(code & 4, axis=1), unique)
-            _xor_packed(xw, seconds, np.packbits(code & 2, axis=1), unique)
-            _xor_packed(zw, seconds, np.packbits(code & 1, axis=1), unique)
-        else:  # pragma: no cover - execute_steps routes only noise kinds
-            raise ValueError(f"unknown noise step kind {step[0]!r}")
+    def __init__(
+        self, rng: np.random.Generator, shots: int, frames: np.ndarray
+    ) -> None:
+        self._rng = rng
+        self._shots = shots
+        self._flat = frames.reshape(-1)
+        self._stride = frames.shape[1]
+        self._num_qubits = frames.shape[0] // 2
+        self.faults = 0
 
-    return apply
+    def __call__(self, step: tuple) -> None:
+        _, sites, channel = step
+        drawn = draw_faults(self._rng, channel, sites.shape[1], self._shots)
+        if not drawn.count:
+            return
+        self.faults += drawn.count
+        slot, shot = drawn.slot, drawn.shot
+        rows = sites[slot >> 1, drawn.target] + (slot & 1) * self._num_qubits
+        masks = np.right_shift(0x80, shot & 7).astype(np.uint8)
+        np.bitwise_xor.at(self._flat, rows * self._stride + (shot >> 3), masks)
 
 
 def injection_noise(
-    injections: Iterable[Tuple[np.ndarray, ...]]
+    injections: Iterable[Tuple[np.ndarray, ...]], frames: np.ndarray
 ) -> NoiseHandler:
     """Noise handler XORing precomputed deterministic flips, one per step.
 
     Each injection is ``(x_rows, x_bytes, x_masks, z_rows, z_bytes, z_masks)``
-    scattering single bits into the packed X/Z planes.  DEM extraction
-    uses this to propagate every error mechanism as one packed bit
-    *column*: the deterministic steps conjugate all mechanisms at once
-    and each noise step, instead of drawing, plants its mechanisms' Pauli
-    flips at the channel's circuit position.
+    scattering single bits into the X / Z halves of the stacked packed
+    ``frames``.  DEM extraction uses this to propagate every error
+    mechanism as one packed bit *column*: the deterministic steps
+    conjugate all mechanisms at once and each noise step, instead of
+    drawing, plants its mechanisms' Pauli flips at the channel's circuit
+    position.
     """
     iterator = iter(injections)
+    num_qubits = frames.shape[0] // 2
 
-    def apply(step: tuple, xw: np.ndarray, zw: np.ndarray) -> None:
+    def apply(step: tuple) -> None:
         x_rows, x_bytes, x_masks, z_rows, z_bytes, z_masks = next(iterator)
         if x_rows.size:
-            np.bitwise_xor.at(xw, (x_rows, x_bytes), x_masks)
+            np.bitwise_xor.at(frames, (x_rows, x_bytes), x_masks)
         if z_rows.size:
-            np.bitwise_xor.at(zw, (z_rows, z_bytes), z_masks)
+            np.bitwise_xor.at(frames, (z_rows + num_qubits, z_bytes), z_masks)
 
     return apply
-
-
-def draw_count(steps: Sequence[tuple], shots: int) -> int:
-    """Uniform doubles :func:`sampling_noise` consumes over these steps.
-
-    Mirrors the handler's dispatch exactly, including the ``DEPOLARIZE2``
-    ``p > 0`` guard (a zero-probability channel draws nothing); the fused
-    pre-draw of a periodic program sizes its buffers with this.
-    """
-    total = 0
-    for step in steps:
-        kind = step[0]
-        if kind in _DRAWING_KINDS:
-            total += step[1].size * shots
-        elif kind == "DEPOLARIZE2":
-            if step[4] > 0:
-                total += step[1].size * shots
-    return total
-
-
-def _xor_packed(
-    frame: np.ndarray, qs: np.ndarray, packed: np.ndarray, unique: bool
-) -> None:
-    """XOR packed hit rows into frame rows, safely on repeated targets."""
-    if unique:
-        frame[qs] ^= packed
-    else:
-        np.bitwise_xor.at(frame, qs, packed)
-
-
-def pauli_channel_codes(
-    draw: np.ndarray, cumulative: np.ndarray, table: np.ndarray
-) -> np.ndarray:
-    """Biased-channel outcomes as frame-flip bit codes from one draw.
-
-    ``cumulative`` holds the channel's cumulative outcome probabilities
-    (``np.cumsum`` of the per-Pauli ``args``); outcome ``k`` fires when
-    the uniform lands in ``[cum[k-1], cum[k])``, and a draw past the last
-    boundary is a miss, mapped by the lookup ``table``'s trailing identity
-    entry to code 0 (no flips).  Both the reference and the compiled
-    sampler call this helper on the same ``(targets, shots)`` draw, which
-    is what keeps their outputs bit-identical.
-    """
-    return table[np.searchsorted(cumulative, draw, side="right")]
-
-
-def depolarize2_codes(draw: np.ndarray, p: float) -> np.ndarray:
-    """Two-qubit depolarizing outcomes as frame-flip bit codes.
-
-    One uniform stream drives both the hit decision and the Pauli-pair
-    outcome: conditioned on ``draw < p`` (the channel firing),
-    ``draw / p`` is uniform on [0, 1), so ``1 + floor(draw * 15 / p)`` is
-    uniform over 1..15 -- the 15 non-identity two-qubit Paulis, encoded so
-    the code's bits *are* the four frame-flip planes:
-
-        bit 3 = X flip on the first qubit   (code & 8)
-        bit 2 = Z flip on the first qubit   (code & 4)
-        bit 1 = X flip on the second qubit  (code & 2)
-        bit 0 = Z flip on the second qubit  (code & 1)
-
-    Misses (``draw >= p``) map to code 16, whose low four bits are all
-    clear -- no flips -- so no separate hit mask is needed.  The draw
-    buffer is consumed (scaled in place).  Both the reference and the
-    compiled sampler call this helper on the same draw, which is what
-    keeps their outputs bit-identical.
-    """
-    np.multiply(draw, 15.0 / p, out=draw)
-    np.minimum(draw, 15.0, out=draw)
-    code = draw.astype(np.uint8)
-    code += 1
-    return code
 
 
 def transpose_packed(planes: np.ndarray, count: int) -> np.ndarray:
@@ -551,10 +576,34 @@ def transpose_packed(planes: np.ndarray, count: int) -> np.ndarray:
         detector keys ready for dedup, from detector-major sample
         bitplanes.
     """
-    rows = planes.shape[0]
-    if rows == 0:
-        return np.zeros((count, 0), dtype=np.uint8)
-    bits = np.unpackbits(planes, axis=1, count=count)
-    # Packing the transposed view yields Fortran order; row keys (the
-    # dedup's fixed-width void view) need each row contiguous.
-    return np.ascontiguousarray(np.packbits(bits.T, axis=1))
+    rows, words = planes.shape
+    blocks = (rows + 7) // 8
+    if rows % 8:
+        padding = np.zeros((8 * blocks - rows, words), dtype=np.uint8)
+        planes = np.concatenate([planes, padding])
+    # Each 8-row x 8-item bit block is one uint64: rows 8b..8b+7 of byte
+    # column w, row 8b as the most significant byte.  Three masked
+    # delta-swaps transpose all blocks at once; read back most significant
+    # byte first, byte j of block (b, w) is item 8w + j's key byte b.
+    x = (
+        planes.reshape(blocks, 8, words).transpose(0, 2, 1).copy()
+        .view(">u8")[..., 0].astype(np.uint64)
+    )
+    for shift, mask in _TRANSPOSE_STEPS:
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    keys = x.astype(">u8").view(np.uint8).reshape(blocks, 8 * words)
+    # Row keys (the dedup's fixed-width void view) need each row contiguous.
+    return np.ascontiguousarray(keys.T[:count])
+
+
+# (shift, mask) delta-swaps of the 8x8 bit-matrix transpose in a uint64
+# (Hacker's Delight, section 7-3).
+_TRANSPOSE_STEPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in (
+        (7, 0x00AA00AA00AA00AA),
+        (14, 0x0000CCCC0000CCCC),
+        (28, 0x00000000F0F0F0F0),
+    )
+)

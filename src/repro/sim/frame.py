@@ -24,15 +24,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.noise.dem import DetectorErrorModel, ErrorMechanism  # noqa: F401
+from repro.obs import metrics as _metrics
 from repro.sim.circuit import Circuit
 from repro.sim.compiled import (
-    PC1_CODE_TABLE,
-    PC2_CODE_TABLE,
-    depolarize2_codes,
-    pauli_channel_codes,
+    FAULTS,
+    NoiseChannel,
+    draw_faults,
+    noise_sites,
     transpose_packed,
 )
-from repro.sim.ops import NOISE_MARKERS
+from repro.sim.ops import NOISE, NOISE_MARKERS
 
 
 class FrameSimulator:
@@ -98,11 +99,15 @@ class FrameSimulator:
         detectors = np.zeros((shots, self.circuit.num_detectors), dtype=np.uint8)
         observables = np.zeros((shots, max(self.circuit.num_observables, 1)), dtype=np.uint8)
         cursor = _Cursor()
+        rng = rng if rng is not None else self._rng
+        faults = 0
         for op in self.circuit.operations:
-            self._apply(
-                op, frame_x, frame_z, flips, detectors, observables, cursor,
-                noisy=True, rng=rng if rng is not None else self._rng,
-            )
+            if op.name in NOISE:
+                faults += self._apply_noise(op, frame_x, frame_z, rng)
+                continue
+            self._apply(op, frame_x, frame_z, flips, detectors, observables, cursor)
+        if _metrics.enabled():
+            FAULTS.inc(faults)
         return detectors, observables[:, : self.circuit.num_observables]
 
     def sample_packed(
@@ -112,9 +117,14 @@ class FrameSimulator:
 
         Runs the compiled bit-packed pipeline (:mod:`repro.sim.compiled`):
         gates operate on packed word rows (8-64 shots per ALU op) and
-        detector extraction is one sparse XOR-reduce.  The noise stream is
-        drawn in the reference sampler's exact order, so for the same seed
-        the unpacked bits equal :meth:`sample`'s output *bit for bit*.
+        detector extraction is one sparse XOR-reduce.  Noise is drawn
+        sparsely: each noise step samples only the faults that fire
+        (:func:`repro.sim.compiled.draw_faults` -- a binomial hit count, a
+        uniform subset of (target, shot) positions, one outcome per hit),
+        so the cost scales with the faults drawn rather than with
+        targets x shots.  :meth:`sample` calls the same draw in the same
+        op order, so for the same seed the unpacked bits equal its output
+        *bit for bit*.
 
         Returns:
             (detectors, observables): uint8 arrays of shape
@@ -140,8 +150,8 @@ class FrameSimulator:
 
     # -- op application ------------------------------------------------------------
 
-    def _apply(self, op, frame_x, frame_z, flips, detectors, observables, cursor, noisy, rng=None):
-        rng = rng if rng is not None else self._rng
+    def _apply(self, op, frame_x, frame_z, flips, detectors, observables, cursor):
+        """Apply one deterministic op or annotation (noise: :meth:`_apply_noise`)."""
         name = op.name
         if name == "H":
             for q in op.targets:
@@ -189,78 +199,25 @@ class FrameSimulator:
             index = int(op.arg)
             for rec in op.targets:
                 observables[:, index] ^= flips[:, rec]
-        elif name == "X_ERROR":
-            if noisy:
-                hit = rng.random((len(op.targets), flips.shape[0])) < op.arg
-                for i, q in enumerate(op.targets):
-                    frame_x[:, q] ^= hit[i].astype(np.uint8)
-        elif name == "Z_ERROR":
-            if noisy:
-                hit = rng.random((len(op.targets), flips.shape[0])) < op.arg
-                for i, q in enumerate(op.targets):
-                    frame_z[:, q] ^= hit[i].astype(np.uint8)
-        elif name == "Y_ERROR":
-            if noisy:
-                hit = rng.random((len(op.targets), flips.shape[0])) < op.arg
-                for i, q in enumerate(op.targets):
-                    frame_x[:, q] ^= hit[i].astype(np.uint8)
-                    frame_z[:, q] ^= hit[i].astype(np.uint8)
-        elif name == "DEPOLARIZE1":
-            if noisy:
-                # One (targets, shots) draw per op; row i drives qubit i.
-                draw = rng.random((len(op.targets), flips.shape[0]))
-                for i, q in enumerate(op.targets):
-                    row = draw[i]
-                    # Split [0, p) into thirds for X, Y, Z.
-                    x_hit = row < 2 * op.arg / 3
-                    z_hit = (row >= op.arg / 3) & (row < op.arg)
-                    frame_x[:, q] ^= x_hit.astype(np.uint8)
-                    frame_z[:, q] ^= z_hit.astype(np.uint8)
-        elif name == "PAULI_CHANNEL_1":
-            if noisy:
-                # Same helper, same draw shape as the compiled pipeline.
-                code = pauli_channel_codes(
-                    rng.random((len(op.targets), flips.shape[0])),
-                    np.cumsum(np.asarray(op.args)),
-                    PC1_CODE_TABLE,
-                )
-                for i, q in enumerate(op.targets):
-                    row = code[i]
-                    frame_x[:, q] ^= (row >> 1) & 1
-                    frame_z[:, q] ^= row & 1
-        elif name == "DEPOLARIZE2":
-            if noisy and op.arg > 0:
-                pairs = list(zip(op.targets[0::2], op.targets[1::2]))
-                # One (pairs, shots) draw per op; the same uniform drives
-                # both the hit decision and the Pauli-pair outcome, and
-                # the outcome code's bits are the four flip planes.  The
-                # compiled pipeline calls the same helper on the same
-                # draw, keeping the two samplers bit-exact.
-                code = depolarize2_codes(
-                    rng.random((len(pairs), flips.shape[0])), op.arg
-                )
-                for i, (a, b) in enumerate(pairs):
-                    row = code[i]
-                    frame_x[:, a] ^= (row >> 3) & 1
-                    frame_z[:, a] ^= (row >> 2) & 1
-                    frame_x[:, b] ^= (row >> 1) & 1
-                    frame_z[:, b] ^= row & 1
-        elif name == "PAULI_CHANNEL_2":
-            if noisy:
-                pairs = list(zip(op.targets[0::2], op.targets[1::2]))
-                code = pauli_channel_codes(
-                    rng.random((len(pairs), flips.shape[0])),
-                    np.cumsum(np.asarray(op.args)),
-                    PC2_CODE_TABLE,
-                )
-                for i, (a, b) in enumerate(pairs):
-                    row = code[i]
-                    frame_x[:, a] ^= (row >> 3) & 1
-                    frame_z[:, a] ^= (row >> 2) & 1
-                    frame_x[:, b] ^= (row >> 1) & 1
-                    frame_z[:, b] ^= row & 1
         else:
             raise ValueError(f"frame simulator cannot run {name}")
+
+    @staticmethod
+    def _apply_noise(op, frame_x, frame_z, rng) -> int:
+        """Draw one noise op's faults and flip them in; returns the count.
+
+        Same :func:`~repro.sim.compiled.draw_faults` call, on the same
+        ``(targets, shots)`` block, as the compiled pipeline.
+        """
+        sites = noise_sites(op)
+        drawn = draw_faults(
+            rng, NoiseChannel.from_op(op), sites.shape[1], frame_x.shape[0]
+        )
+        qubits = sites[drawn.slot >> 1, drawn.target]
+        x_flip = (drawn.slot & 1) == 0
+        np.bitwise_xor.at(frame_x, (drawn.shot[x_flip], qubits[x_flip]), 1)
+        np.bitwise_xor.at(frame_z, (drawn.shot[~x_flip], qubits[~x_flip]), 1)
+        return drawn.count
 
 
 class _Cursor:

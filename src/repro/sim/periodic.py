@@ -2,9 +2,8 @@
 
 A d-distance, r-round memory experiment is one syndrome-extraction round
 replayed r times, yet the linear compiler (:mod:`repro.sim.compiled`)
-lowers all r copies and dispatches every noise op's RNG block separately,
-so compile time and RNG dispatch overhead scale O(rounds) when the
-underlying structure is O(1).  This module exploits the periodicity:
+lowers all r copies, so compile time and program size scale O(rounds)
+when the underlying structure is O(1).  This module exploits the periodicity:
 
 * :func:`detect_period` finds the longest repeated op-stream window --
   the same op sequence where the only change per repetition is a constant
@@ -17,15 +16,17 @@ underlying structure is O(1).  This module exploits the periodicity:
   the body's measurement slots and sparse GF(2) detector/observable COO
   per replay by (r_index * measurements_per_round, r_index *
   detectors_per_round) instead of materializing r lowered copies.
-* **RNG draw-order contract**: noise draws are *fused* -- one
-  ``rng.random(count)`` dispatch covers many noise steps (up to
-  :data:`DRAW_CHUNK_DOUBLES` uniforms), and the steps consume consecutive
-  slices.  Because numpy's ``Generator.random`` fills a buffer from the
-  same bit stream element by element, splitting one fused dispatch into
-  per-op slices yields exactly the values the linear compiler's per-op
-  dispatches produce, in the same order: the permutation of stream
-  positions is the *identity*, and ``sample_packed`` stays bit-identical
-  per seed (property-tested in ``tests/test_sim_periodic.py``).
+* **RNG draw-order contract**: noise is drawn sparsely, one
+  :func:`~repro.sim.compiled.draw_faults` call per noise step, in
+  execution order (prologue, the body's steps once per replay, then the
+  epilogue).  That is exactly the order of the linear program's noise
+  steps -- lowering never fuses noise ops, so both programs hold the
+  same channels over the same targets -- and each step's draw depends
+  only on its channel, its target count and the shot count.  The
+  replay therefore consumes the generator's stream exactly as the
+  linear program does, and ``sample_packed`` stays bit-identical per
+  seed (property-tested in ``tests/test_sim_periodic.py``).  Nothing is
+  pre-drawn, so memory no longer grows with rounds x shots.
 * :func:`compile_program` picks the periodic path automatically and
   memoizes both program kinds per circuit fingerprint (registered with
   :func:`repro.core.cache.register_cache`), so the decoding engine's
@@ -48,22 +49,19 @@ from repro.obs import metrics as _metrics
 from repro.obs.spans import span
 from repro.sim.circuit import Circuit
 from repro.sim.compiled import (
+    FAULTS,
     CompiledProgram,
-    draw_count,
+    FaultSampler,
+    RecordMap,
     execute_steps,
     lower_ops,
-    sampling_noise,
+    zero_planes,
 )
 from repro.sim.ops import MEASUREMENTS
 
 # Ops whose targets are measurement-record indices (and therefore shift
 # by the per-round measurement count between replays).
 _RECORD_OPS = ("DETECTOR", "OBSERVABLE_INCLUDE")
-
-# Upper bound on uniforms pre-drawn per fused RNG dispatch (~32 MB of
-# float64).  Bounds peak memory; the replay loop re-fills the buffer as
-# many times as needed.  Tests shrink it to force multi-chunk replays.
-DRAW_CHUNK_DOUBLES = 4 * 1024 * 1024
 
 # How many period candidates (distinct token-recurrence gaps) to scan.
 _CANDIDATE_GAPS = 5
@@ -198,42 +196,13 @@ def detect_period(circuit: Circuit) -> Optional[PeriodSpec]:
     return best
 
 
-class _FusedDraws:
-    """Sequential slice server over fused ``rng.random`` dispatches.
-
-    ``load(count)`` draws ``count`` uniforms in one dispatch; calls then
-    hand out consecutive ``(targets, shots)`` views.  ``Generator.random``
-    consumes its bit stream element by element, so the fused buffer holds
-    exactly the values the equivalent per-op dispatches would return, in
-    the same order -- slicing it is a pure no-op on the stream.
-    """
-
-    def __init__(self, rng: np.random.Generator, shots: int) -> None:
-        self._rng = rng
-        self._shots = shots
-        self._buffer: Optional[np.ndarray] = None
-        self._position = 0
-
-    def load(self, count: int) -> None:
-        self._buffer = self._rng.random(count) if count else None
-        self._position = 0
-
-    def __call__(self, targets: int) -> np.ndarray:
-        size = targets * self._shots
-        if size == 0:
-            return np.empty((targets, self._shots))
-        view = self._buffer[self._position : self._position + size]
-        self._position += size
-        return view.reshape(targets, self._shots)
-
-
 class PeriodicProgram:
     """{prologue, round body x reps, epilogue} over bit-packed planes.
 
     The round body is lowered once; :meth:`run_packed` executes it
     ``reps`` times with per-replay measurement-slot offsets and rebases
-    its detector/observable COO per replay.  Noise draws are fused across
-    steps and replays (see the module docstring for the stream contract).
+    its detector/observable COO per replay.  Noise is drawn per step in
+    execution order (see the module docstring for the stream contract).
     Public surface mirrors :class:`~repro.sim.compiled.CompiledProgram`.
     """
 
@@ -260,6 +229,29 @@ class PeriodicProgram:
             spec.meas_start + reps * spec.meas_per_rep,
             spec.det_start + reps * spec.det_per_rep,
         )
+        # Every replay's record COO, rebased once: replay j of the body
+        # reads measurements j * meas_per_rep later and writes detectors
+        # j * det_per_rep later; observable rows never shift.
+        shifts = np.arange(reps, dtype=np.intp)[:, None]
+
+        def unrolled(field: str, stride: int) -> np.ndarray:
+            body = getattr(self._body, field)[None, :] + stride * shifts
+            return np.concatenate([
+                getattr(self._prologue, field),
+                getattr(self._epilogue, field),
+                body.ravel(),
+            ])
+
+        self.detector_map = RecordMap(
+            unrolled("det_meas", spec.meas_per_rep),
+            unrolled("det_row", spec.det_per_rep),
+            self.num_detectors,
+        )
+        self.observable_map = RecordMap(
+            unrolled("obs_meas", spec.meas_per_rep),
+            unrolled("obs_row", 0),
+            self.num_observables,
+        )
         if (
             self._prologue.meas_count != spec.meas_start
             or self._body.meas_count != spec.meas_per_rep
@@ -272,89 +264,32 @@ class PeriodicProgram:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample ``shots`` noisy shots; see ``CompiledProgram.run_packed``.
 
-        Bit-identical per seed to the linear program's output: the fused
-        draws preserve stream order exactly, and replaying the body with
-        offset record bases applies the same updates the linear steps
-        encode explicitly.
+        Bit-identical per seed to the linear program's output: the noise
+        steps draw in the linear order, and replaying the body with offset
+        record bases applies the same updates the linear steps encode
+        explicitly.
         """
         if shots < 0:
             raise ValueError("shots must be >= 0")
         replay_start = time.perf_counter() if _metrics.enabled() else 0.0
-        words = (shots + 7) // 8
-        padded = 8 * ((words + 7) // 8)  # rows double as uint64 word views
-        x = np.zeros((self.num_qubits, padded), dtype=np.uint8)
-        z = np.zeros((self.num_qubits, padded), dtype=np.uint8)
-        flips = np.zeros((self.num_measurements, padded), dtype=np.uint8)
-        x64 = x.view(np.uint64)
-        z64 = z.view(np.uint64)
-        f64 = flips.view(np.uint64)
-        xw = x[:, :words]
-        zw = z[:, :words]
+        frames = zero_planes(2 * self.num_qubits, shots)
+        flips = zero_planes(self.num_measurements, shots)
+        noise = FaultSampler(rng, shots, frames)
+        execute_steps(self._prologue.steps, frames, flips, noise)
+        for rep in range(self.spec.reps):
+            execute_steps(
+                self._body.steps, frames, flips, noise,
+                slot_offset=rep * self.spec.meas_per_rep,
+            )
+        execute_steps(self._epilogue.steps, frames, flips, noise)
 
-        draws = _FusedDraws(rng, shots)
-        noise = sampling_noise(draws)
-        spec = self.spec
-        reps = spec.reps
-        meas_per_rep = spec.meas_per_rep
-
-        draws.load(draw_count(self._prologue.steps, shots))
-        execute_steps(self._prologue.steps, x64, z64, f64, xw, zw, noise)
-
-        per_rep = draw_count(self._body.steps, shots)
-        reps_per_chunk = (
-            reps if per_rep == 0 else max(1, DRAW_CHUNK_DOUBLES // per_rep)
-        )
-        rep = 0
-        while rep < reps:
-            batch = min(reps_per_chunk, reps - rep)
-            draws.load(batch * per_rep)
-            for j in range(rep, rep + batch):
-                execute_steps(
-                    self._body.steps, x64, z64, f64, xw, zw, noise,
-                    slot_offset=j * meas_per_rep,
-                )
-            rep += batch
-
-        draws.load(draw_count(self._epilogue.steps, shots))
-        execute_steps(self._epilogue.steps, x64, z64, f64, xw, zw, noise)
-
-        detectors = np.zeros((self.num_detectors, padded), dtype=np.uint8)
-        observables = np.zeros((self.num_observables, padded), dtype=np.uint8)
-        self._scatter_records(detectors, observables, flips)
+        detectors = self.detector_map.apply(flips)
+        observables = self.observable_map.apply(flips)
         if _metrics.enabled():
+            FAULTS.inc(noise.faults)
             _REPLAY_SECONDS.inc(time.perf_counter() - replay_start)
+        words = (shots + 7) // 8
         return detectors[:, :words], observables[:, :words]
-
-    def _scatter_records(
-        self, detectors: np.ndarray, observables: np.ndarray, flips: np.ndarray
-    ) -> None:
-        """XOR-reduce measurement flips into detector/observable rows.
-
-        The body's COO is stored once for replay 0; replaying rebases it
-        by broadcasting the per-replay (measurement, detector) offsets --
-        observable rows are global and never shift.
-        """
-        spec = self.spec
-        reps = spec.reps
-        offsets = np.arange(reps, dtype=np.intp)[:, None]
-        for segment in (self._prologue, self._epilogue):
-            if segment.det_meas.size:
-                np.bitwise_xor.at(
-                    detectors, segment.det_row, flips[segment.det_meas]
-                )
-            if segment.obs_meas.size:
-                np.bitwise_xor.at(
-                    observables, segment.obs_row, flips[segment.obs_meas]
-                )
-        body = self._body
-        if body.det_meas.size:
-            rows = (body.det_row[None, :] + spec.det_per_rep * offsets).ravel()
-            meas = (body.det_meas[None, :] + spec.meas_per_rep * offsets).ravel()
-            np.bitwise_xor.at(detectors, rows, flips[meas])
-        if body.obs_meas.size:
-            rows = np.tile(body.obs_row, reps)
-            meas = (body.obs_meas[None, :] + spec.meas_per_rep * offsets).ravel()
-            np.bitwise_xor.at(observables, rows, flips[meas])
 
 
 Program = Union[CompiledProgram, PeriodicProgram]

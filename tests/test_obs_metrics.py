@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from repro.decoder.engine import DecodingEngine
+from repro.decoder.engine import DecodingEngine, make_decoder
 from repro.noise.dem import extract_dem, last_periodic_fallback
 from repro.obs import (
     COUNT_BUCKETS,
@@ -309,6 +309,7 @@ DETERMINISTIC_FAMILIES = (
     "repro_decode_shots_total",
     "repro_decode_unique_total",
     "repro_decode_batch_unique",
+    "repro_sim_faults_total",
 )
 
 
@@ -320,7 +321,15 @@ def _engine_telemetry(workers):
     ) as engine:
         result = engine.run(2048, seed=7)
     snap = REGISTRY.snapshot()
-    return result, {name: snap[name]["series"] for name in DETERMINISTIC_FAMILIES}
+    families = {name: snap[name]["series"] for name in DETERMINISTIC_FAMILIES}
+    # Decoder builds are wall-clock valued; their *count* is deterministic.
+    builds = snap["repro_decoder_build_seconds"]["series"]
+    families["decoder_builds"] = {
+        labels: value["count"]
+        for labels, value in builds.items()
+        if value["count"]  # reset() zeroes series but keeps their labels
+    }
+    return result, families
 
 
 def test_merged_telemetry_is_worker_count_invariant():
@@ -334,10 +343,27 @@ def test_merged_telemetry_is_worker_count_invariant():
     assert families_1 == families_4
     assert families_1["repro_engine_shots_total"][()] == 2048.0
     assert families_1["repro_engine_shards_total"][()] == 8.0
+    assert families_1["repro_sim_faults_total"][()] > 0
+    assert families_1["decoder_builds"] == {("mwpm",): 1}
     # Decode latency is observable programmatically even though its
     # *values* are wall clock: count/shape only via the families above.
     p = percentiles("repro_decode_seconds", (0.5, 0.99))
     assert not math.isnan(p[0.5]) and p[0.5] <= p[0.99]
+
+
+def test_decoder_build_seconds_observed_once_per_build():
+    dem = extract_dem(memory_circuit(3, 2, 1e-3))
+    REGISTRY.reset()
+    make_decoder("union_find", dem)
+    make_decoder("union_find", dem)
+    make_decoder("mwpm", dem)
+    with metrics_disabled():
+        make_decoder("mwpm", dem)
+    series = REGISTRY.snapshot()["repro_decoder_build_seconds"]["series"]
+    assert series[("union_find",)]["count"] == 2
+    assert series[("mwpm",)]["count"] == 1
+    assert series[("mwpm",)]["sum"] > 0
+    parse_prometheus(render_prometheus())
 
 
 # -- periodic-fallback observability --------------------------------------------

@@ -247,6 +247,27 @@ class TestCompiledProgramStructure:
         )
 
 
+    @pytest.mark.parametrize(
+        "rows,count", [(0, 5), (5, 0), (1, 1), (8, 64), (13, 29), (61, 203)]
+    )
+    def test_transpose_packed_matches_unpacked_transpose(self, rows, count):
+        rng = np.random.default_rng(rows * 1000 + count)
+        bits = (rng.random((rows, count)) < 0.5).astype(np.uint8)
+        # Padded planes with garbage pad bits, sliced like run_packed's
+        # output: a non-contiguous view whose last byte has stray bits.
+        words = (count + 7) // 8
+        padded = rng.integers(0, 256, (rows, words + 3), dtype=np.uint8)
+        padded[:, :words] = np.packbits(bits, axis=1)
+        if count % 8:
+            padded[:, words - 1] |= 0xFF >> (count % 8)
+        keys = transpose_packed(padded[:, :words], count)
+        assert keys.shape == (count, (rows + 7) // 8)
+        assert keys.flags.c_contiguous
+        np.testing.assert_array_equal(
+            np.unpackbits(keys, axis=1, count=rows), bits.T
+        )
+
+
 class TestPackedKeyLayout:
     """sample_packed keys are C-contiguous rows on every program kind,
     so they view as fixed-width void keys without a copy."""
