@@ -68,6 +68,9 @@ def main() -> None:
         )
         rate = per_round_rate(res, rounds)
         rates.append(rate)
+        # res is an EngineResult: std_error is the standard error of the
+        # whole-run rate from the unbiased (n - 1) sample variance, and
+        # 0 when no shot failed.
         print(f"  d={d}: {res.failures}/{res.shots} failures -> "
               f"per-round {rate:.5f} (+-{res.std_error / rounds:.5f})")
     fit = fit_memory_model([3, 5], rates)

@@ -10,7 +10,7 @@ invisible to tests that pass by luck:
   worker-count invariance and reproducibility; ``np.random.default_rng()``
   with no seed is flagged as a warning (legitimate as a last-resort
   fallback, wrong anywhere results must reproduce).
-* **Worker-visible mutable module state** -- the multiprocessing idiom of
+* **Worker-visible mutable module state** -- the process-pool idiom of
   :mod:`repro.decoder.engine` / :mod:`repro.estimator.sweep` allows worker
   processes exactly one piece of module state: the per-process ``_WORKER``
   dict installed by the pool initializer.  Any other module-level name
@@ -26,10 +26,11 @@ invisible to tests that pass by luck:
   tests).
 
 The linter is intentionally static and conservative: it walks each file's
-AST, identifies worker functions as those passed to
-``multiprocessing.Pool(initializer=...)`` or to a pool's
-``map``/``imap``/``starmap``/``apply_async`` family, and never executes
-anything.
+AST and never executes anything.  Worker functions are those passed as
+``initializer=`` to a constructor whose name ends in ``Pool`` (such as
+:class:`repro.core.pool.WorkerPool`, through which the engine and the
+sweep dispatch) and those passed first to a pool's
+``map``/``imap``/``starmap``/``apply_async`` family.
 """
 
 from __future__ import annotations

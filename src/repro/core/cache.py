@@ -27,7 +27,7 @@ module provides the process-wide cache those sweeps share:
   tree, used by the persistent result store to invalidate entries computed
   by older code and stamped into every ``ScenarioResult``'s metadata.
 
-Caches are per-process: ``multiprocessing`` sweep workers each build their
+Caches are per-process: pooled sweep workers each build their
 own, which keeps results independent of the worker count.  Within a
 process the layer is thread-safe: the bypass switch is thread-local (one
 thread measuring uncached timings does not stampede the service's worker

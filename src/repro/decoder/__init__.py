@@ -40,15 +40,21 @@ Monte-Carlo engine
 
 Shots are split into fixed-size shards, each sampled from an independent
 ``SeedSequence.spawn`` child stream and decoded with dedup; shards are
-distributed over ``multiprocessing`` workers.  The shard layout depends
-only on the seed and ``shard_shots``, so results are bit-identical for
-any worker count, including under ``run_until`` early stopping (the stop
-rule is evaluated on the shard-ordered prefix).
+distributed over the worker processes of one persistent
+:class:`~repro.core.pool.WorkerPool`.  Every shard draws its shots from
+one shot source -- the circuit's packed Pauli-frame sampler, or an
+importance sampler (:mod:`repro.estimator.rare`) -- and every run returns
+an :class:`EngineResult` (shots, failures, rate, ``std_error``, weighted
+estimates).  The shard layout depends only on the seed and
+``shard_shots``, so results are bit-identical for any worker count,
+including under ``run_until`` early stopping (the stop rule is evaluated
+on the shard-ordered prefix).  ``collect`` returns the sampled tables
+themselves, written by the workers into shared memory
+(:mod:`repro.decoder.transport`).
 """
 
 from repro.decoder.analysis import (
     AlphaFit,
-    LogicalErrorResult,
     MemoryFit,
     cnot_experiment_rate,
     eq4_prediction,
@@ -80,7 +86,6 @@ __all__ = [
     "DecodingGraph",
     "Edge",
     "EngineResult",
-    "LogicalErrorResult",
     "MWPMDecoder",
     "MemoryFit",
     "SequentialCNOTDecoder",

@@ -10,7 +10,8 @@ logical error rates, and fits the paper's heuristic model:
 
 All Monte-Carlo entry points accept a decoder registry name, a worker
 count for sharded parallel decoding, and an optional ``target_failures``
-for streaming early-stop sampling (``shots`` then acts as the cap).
+for streaming early-stop sampling (``shots`` then acts as the cap), and
+return the engine's :class:`~repro.decoder.engine.EngineResult`.
 """
 
 from __future__ import annotations
@@ -22,30 +23,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import optimize
 
-from repro.decoder.engine import DecodingEngine, SeedLike, make_decoder
+from repro.decoder.engine import (
+    DecodingEngine,
+    EngineResult,
+    SeedLike,
+    make_decoder,
+)
 from repro.sim.circuit import Circuit
 from repro.sim.frame import FrameSimulator
 from repro.sim.memory import NoiseLike, memory_circuit, transversal_cnot_experiment
-
-
-@dataclass(frozen=True)
-class LogicalErrorResult:
-    """Outcome of one Monte-Carlo decoding run."""
-
-    shots: int
-    failures: int
-
-    @property
-    def rate(self) -> float:
-        return self.failures / self.shots if self.shots else 0.0
-
-    @property
-    def std_error(self) -> float:
-        """Binomial standard error of the rate."""
-        if self.shots == 0:
-            return 0.0
-        p = self.rate
-        return math.sqrt(max(p * (1 - p), 1e-12) / self.shots)
 
 
 def run_decoding_experiment(
@@ -60,8 +46,7 @@ def run_decoding_experiment(
     workers: int = 1,
     shard_shots: int = 1024,
     target_failures: Optional[int] = None,
-    packed: bool = True,
-) -> LogicalErrorResult:
+) -> EngineResult:
     """Sample a noisy circuit and decode it through the batched engine.
 
     Args:
@@ -76,8 +61,6 @@ def run_decoding_experiment(
         shard_shots: shots per engine shard.
         target_failures: when set, stream shard batches until this many
             failures are seen (or ``shots`` is exhausted).
-        packed: run the bit-packed compiled pipeline (default) or the
-            byte-per-bit reference path; results are bit-identical.
     """
     with DecodingEngine(
         circuit,
@@ -87,13 +70,10 @@ def run_decoding_experiment(
         observable=observable,
         shard_shots=shard_shots,
         workers=workers,
-        packed=packed,
     ) as engine:
         if target_failures is not None:
-            result = engine.run_until(target_failures, max_shots=shots, seed=seed)
-        else:
-            result = engine.run(shots, seed=seed)
-    return LogicalErrorResult(shots=result.shots, failures=result.failures)
+            return engine.run_until(target_failures, max_shots=shots, seed=seed)
+        return engine.run(shots, seed=seed)
 
 
 def paired_failure_counts(
@@ -160,9 +140,8 @@ def memory_logical_error(
     decoder: str = "mwpm",
     workers: int = 1,
     target_failures: Optional[int] = None,
-    packed: bool = True,
     noise: NoiseLike = None,
-) -> LogicalErrorResult:
+) -> EngineResult:
     """Logical error of a distance-d memory experiment (whole run).
 
     ``noise`` selects the circuit noise model (a
@@ -177,10 +156,9 @@ def memory_logical_error(
         decoder=decoder,
         workers=workers,
         target_failures=target_failures,
-        packed=packed,
     )
 
-def per_round_rate(result: LogicalErrorResult, rounds: int) -> float:
+def per_round_rate(result: EngineResult, rounds: int) -> float:
     """Convert a whole-run failure probability to a per-round rate.
 
     Inverts p_run = (1 - (1 - 2 p_round)^rounds) / 2.
@@ -200,9 +178,8 @@ def cnot_experiment_rate(
     *,
     workers: int = 1,
     target_failures: Optional[int] = None,
-    packed: bool = True,
     noise: NoiseLike = None,
-) -> Tuple[LogicalErrorResult, int]:
+) -> Tuple[EngineResult, int]:
     """Two-patch transversal-CNOT experiment; returns (result, num_cnots).
 
     A CNOT is inserted after every ``cnot_every``-th SE round, i.e.
@@ -234,7 +211,6 @@ def cnot_experiment_rate(
         detector_meta=builder.detector_meta,
         workers=workers,
         target_failures=target_failures,
-        packed=packed,
     )
     return result, len(cnot_rounds)
 

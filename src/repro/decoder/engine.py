@@ -14,18 +14,22 @@ throughput-oriented:
   syndrome row once (rows bit-packed and deduplicated as fixed-width byte
   keys) and scatters predictions back.  In low-``p`` regimes most shots
   are duplicates or all-zero.
-* **Bit-packed hot path** -- by default shards sample through the
-  compiled bit-packed pipeline (:mod:`repro.sim.compiled`) and hand the
-  packed per-shot keys straight to ``decode_packed``; the byte-per-bit
-  reference path (``packed=False``) produces bit-identical results for
-  the same seed and is kept as the verification baseline.
+* **One shot source, bit-packed** -- every shard asks its shot source
+  for ``sample_weighted(shots, rng) -> (det_keys, obs_keys, log_weights
+  | None)``: the circuit's :class:`~repro.sim.frame.FrameSimulator`
+  (compiled bit-packed pipeline, :mod:`repro.sim.compiled`; unit
+  weights) or an importance sampler.  The packed per-shot keys go
+  straight to ``decode_packed``.
 * **Sharded parallel sampling** -- shots are split into fixed-size shards,
   each with an independent child of one root
   :class:`numpy.random.SeedSequence`.  The shard structure depends only on
   the seed and shard size, never on the worker count, so results are
-  bit-identical for 1 or N ``multiprocessing`` workers.  One persistent
-  pool serves all ``run``/``run_until`` calls of an engine (see
-  :meth:`DecodingEngine.close`).
+  bit-identical for 1 or N worker processes.  One persistent
+  :class:`~repro.core.pool.WorkerPool` serves all ``run`` / ``run_until``
+  / ``collect`` calls of an engine (see :meth:`DecodingEngine.close`); a
+  worker that dies mid-call raises
+  :class:`~concurrent.futures.process.BrokenProcessPool` and the next
+  call respawns the pool.
 * **Streaming early-stop** -- :meth:`DecodingEngine.run_until` keeps
   drawing shard batches until a target failure count or a shot cap is
   reached, and :meth:`DecodingEngine.run_until_rel_error` until the
@@ -45,15 +49,16 @@ throughput-oriented:
 
 from __future__ import annotations
 
+import itertools
 import math
-import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from statistics import NormalDist
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.pool import WorkerPool
 from repro.decoder import transport as _transport
 from repro.decoder.base import BatchDecoder, Decoder
 from repro.decoder.graph import DecodingGraph
@@ -326,235 +331,89 @@ class EngineResult:
         return (max(center - half, 0.0), min(center + half, 1.0))
 
     def __add__(self, other: "EngineResult") -> "EngineResult":
-        """Merge two runs' sufficient statistics (order-independent)."""
+        """Merge two runs' sufficient statistics, field by field."""
         if not isinstance(other, EngineResult):
             return NotImplemented
-        return EngineResult(
-            shots=self.shots + other.shots,
-            failures=self.failures + other.failures,
-            shards=self.shards + other.shards,
-            weighted_failures=self.weighted_failures + other.weighted_failures,
-            weighted_failures_sq=(
-                self.weighted_failures_sq + other.weighted_failures_sq
-            ),
-            weight_sum=self.weight_sum + other.weight_sum,
-            weight_sq_sum=self.weight_sq_sum + other.weight_sq_sum,
-            shots_beyond_stop=self.shots_beyond_stop + other.shots_beyond_stop,
-        )
+        return EngineResult(*(
+            getattr(self, field.name) + getattr(other, field.name)
+            for field in fields(self)
+        ))
 
 
-class _ShardStats(NamedTuple):
-    """Sufficient statistics one shard ships home (sums in shard order)."""
-
-    shots: int
-    failures: int
-    weighted_failures: float
-    weighted_failures_sq: float
-    weight_sum: float
-    weight_sq_sum: float
+# The identity of ``+``: folding shard results onto it reproduces the
+# shard-ordered float sums exactly.
+_EMPTY = EngineResult(shots=0, failures=0, shards=0)
 
 
-def _as_result(stats: _ShardStats) -> EngineResult:
-    return EngineResult(
-        shots=stats.shots,
-        failures=stats.failures,
-        shards=1,
-        weighted_failures=stats.weighted_failures,
-        weighted_failures_sq=stats.weighted_failures_sq,
-        weight_sum=stats.weight_sum,
-        weight_sq_sum=stats.weight_sq_sum,
-    )
-
-
-def _sum_stats(results: Sequence[_ShardStats]) -> EngineResult:
-    # Left-to-right accumulation in shard (spawn) order: the float sums
-    # come out bit-identical for any worker count.
-    shots = failures = 0
-    wf = wfsq = ws = wsq = 0.0
-    for stats in results:
-        shots += stats.shots
-        failures += stats.failures
-        wf += stats.weighted_failures
-        wfsq += stats.weighted_failures_sq
-        ws += stats.weight_sum
-        wsq += stats.weight_sq_sum
-    return EngineResult(
-        shots=shots,
-        failures=failures,
-        shards=len(results),
-        weighted_failures=wf,
-        weighted_failures_sq=wfsq,
-        weight_sum=ws,
-        weight_sq_sum=wsq,
-    )
-
-
-# Per-worker state, installed once by the pool initializer so shard tasks
-# only ship (shots, seed) pairs instead of the circuit and decoder.
+# Per-worker state, installed by the pool initializer so shard tasks only
+# ship (shots, seed) pairs instead of the shot source and decoder.
 _WORKER: dict = {}
 
 
 def _worker_init(
-    circuit: Circuit,
-    decoder: Optional[Decoder],
-    observable: Optional[int],
-    packed: bool,
-    sim: Optional[FrameSimulator] = None,
-    compile_mode: str = "auto",
-    sampler=None,
+    circuit: Circuit, source, decoder: Decoder, observable: Optional[int]
 ) -> None:
-    # An importance-sampled engine never touches the circuit simulator in
-    # its shard loop, so workers skip building one.
-    if sim is not None:
-        _WORKER["sim"] = sim
-    elif sampler is not None:
-        _WORKER["sim"] = None
-    else:
-        _WORKER["sim"] = FrameSimulator(circuit, compile_mode=compile_mode)
+    _WORKER["source"] = source
     _WORKER["decoder"] = decoder
     _WORKER["observable"] = observable
-    _WORKER["packed"] = packed
-    _WORKER["sampler"] = sampler
     _WORKER["num_detectors"] = circuit.num_detectors
     _WORKER["num_observables"] = circuit.num_observables
 
 
-def _shard_failures(predictions, observables, observable):
-    if observable is None:
-        return (predictions ^ observables).any(axis=1)
-    return (
-        predictions[:, observable] ^ observables[:, observable]
-    ).astype(bool)
+def _run_shard(task: Tuple[int, np.random.SeedSequence]) -> EngineResult:
+    """Sample + decode one shard; returns its one-shard :class:`EngineResult`.
 
-
-def _run_shard(task: Tuple[int, np.random.SeedSequence]) -> _ShardStats:
-    """Sample + decode one shard; returns its :class:`_ShardStats` sums."""
+    The shot source hands over bit-packed keys (the dedup-key layout the
+    decoder consumes directly) plus per-shot log-likelihood ratios, or
+    ``None`` for unit weights.  Weighted shards ship weight *sums*, so
+    merging shard results in shard order -- the protocol that keeps the
+    metric deltas worker-count invariant -- keeps the estimate invariant
+    too.
+    """
     shots, seed_seq = task
-    sim: Optional[FrameSimulator] = _WORKER["sim"]
-    decoder: Decoder = _WORKER["decoder"]
-    observable: Optional[int] = _WORKER["observable"]
-    sampler = _WORKER.get("sampler")
     rng = np.random.default_rng(seed_seq)
     metered = _metrics.enabled()
     with span("engine.shard", shots=shots):
-        if sampler is not None:
-            # Importance path: shots come from the reweighted DEM proposal
-            # (already in the packed dedup-key layout), each with a
-            # log-likelihood-ratio under the original model.  The shard
-            # ships weight *sums*, accumulated in shard order -- the same
-            # protocol that keeps the metric deltas worker-count
-            # invariant.
-            start = time.perf_counter() if metered else 0.0
-            det_keys, obs_keys, log_weights = sampler.sample_weighted(
-                shots, rng
-            )
-            if metered:
-                mid = time.perf_counter()
-                _ENGINE_SAMPLE_SECONDS.inc(mid - start)
-            predictions = decoder.decode_packed(
-                det_keys, _WORKER["num_detectors"]
-            )
-            if metered:
-                _ENGINE_DECODE_SECONDS.inc(time.perf_counter() - mid)
-                _ENGINE_SHARDS.inc()
-            num_obs = _WORKER["num_observables"]
-            if num_obs:
-                observables = np.unpackbits(obs_keys, axis=1, count=num_obs)
-            else:
-                observables = np.zeros((shots, 0), dtype=np.uint8)
-            wrong = _shard_failures(predictions, observables, observable)
-            weights = np.exp(log_weights)
-            failing = weights[wrong]
-            return _ShardStats(
-                shots=shots,
-                failures=int(wrong.sum()),
-                weighted_failures=float(failing.sum()),
-                weighted_failures_sq=float(np.square(failing).sum()),
-                weight_sum=float(weights.sum()),
-                weight_sq_sum=float(np.square(weights).sum()),
-            )
-        if _WORKER["packed"]:
-            # Packed end to end: sampling emits bit-packed per-shot keys
-            # that the decoder dedups directly; only the tiny observable
-            # table is unpacked for the failure comparison.
-            start = time.perf_counter() if metered else 0.0
-            det_keys, obs_keys = sim.sample_packed(shots, rng=rng)
-            if metered:
-                mid = time.perf_counter()
-                _ENGINE_SAMPLE_SECONDS.inc(mid - start)
-            predictions = decoder.decode_packed(
-                det_keys, _WORKER["num_detectors"]
-            )
-            if metered:
-                _ENGINE_DECODE_SECONDS.inc(time.perf_counter() - mid)
-            num_obs = _WORKER["num_observables"]
-            if num_obs:
-                observables = np.unpackbits(obs_keys, axis=1, count=num_obs)
-            else:
-                observables = np.zeros((shots, 0), dtype=np.uint8)
-        else:
-            start = time.perf_counter() if metered else 0.0
-            detectors, observables = sim.sample(shots, rng=rng)
-            if metered:
-                mid = time.perf_counter()
-                _ENGINE_SAMPLE_SECONDS.inc(mid - start)
-            predictions = decoder.decode_batch(detectors)
-            if metered:
-                _ENGINE_DECODE_SECONDS.inc(time.perf_counter() - mid)
-        wrong = _shard_failures(predictions, observables, observable)
+        start = time.perf_counter() if metered else 0.0
+        det_keys, obs_keys, log_weights = _WORKER["source"].sample_weighted(
+            shots, rng
+        )
         if metered:
+            mid = time.perf_counter()
+            _ENGINE_SAMPLE_SECONDS.inc(mid - start)
+        predictions = _WORKER["decoder"].decode_packed(
+            det_keys, _WORKER["num_detectors"]
+        )
+        if metered:
+            _ENGINE_DECODE_SECONDS.inc(time.perf_counter() - mid)
             _ENGINE_SHARDS.inc()
-        failures = int(np.sum(wrong))
-        return _ShardStats(
+        observables = np.unpackbits(
+            obs_keys, axis=1, count=_WORKER["num_observables"]
+        )
+        wrong = predictions ^ observables
+        observable = _WORKER["observable"]
+        wrong = (
+            wrong.any(axis=1)
+            if observable is None
+            else wrong[:, observable].astype(bool)
+        )
+        failures = int(wrong.sum())
+        if log_weights is None:
+            return EngineResult(shots=shots, failures=failures, shards=1)
+        weights = np.exp(log_weights)
+        failing = weights[wrong]
+        return EngineResult(
             shots=shots,
             failures=failures,
-            weighted_failures=float(failures),
-            weighted_failures_sq=float(failures),
-            weight_sum=float(shots),
-            weight_sq_sum=float(shots),
+            shards=1,
+            weighted_failures=float(failing.sum()),
+            weighted_failures_sq=float(np.square(failing).sum()),
+            weight_sum=float(weights.sum()),
+            weight_sq_sum=float(np.square(weights).sum()),
         )
 
 
 def _collect_shard(
-    task: Tuple[int, np.random.SeedSequence]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample one shard; returns bit-packed (detector, observable) keys.
-
-    Workers ship the packed arrays back to the parent, ~8x less pickle
-    bandwidth than byte-per-bit tables.
-    """
-    shots, seed_seq = task
-    sim: FrameSimulator = _WORKER["sim"]
-    if _metrics.enabled():
-        start = time.perf_counter()
-        out = sim.sample_packed(shots, rng=np.random.default_rng(seed_seq))
-        _ENGINE_SAMPLE_SECONDS.inc(time.perf_counter() - start)
-        _ENGINE_SHARDS.inc()
-        return out
-    return sim.sample_packed(shots, rng=np.random.default_rng(seed_seq))
-
-
-def _run_shard_metered(task):
-    """Pool-side wrapper: run the shard, ship the shard's metric delta.
-
-    The parent merges the delta into its registry, so counters and
-    histograms come out identical to a serial run -- the worker-count
-    invariance contract extended to telemetry.  The snapshot is taken per
-    task (not per worker) so increments are never double-shipped.
-    """
-    base = _metrics.snapshot()
-    out = _run_shard(task)
-    return out, _metrics.delta_since(base)
-
-
-def _collect_shard_metered(task):
-    """Pool-side wrapper for :func:`_collect_shard`; see above."""
-    base = _metrics.snapshot()
-    out = _collect_shard(task)
-    return out, _metrics.delta_since(base)
-
-
-def _collect_shard_shm(
     task: Tuple[int, np.random.SeedSequence, str, str, int]
 ) -> int:
     """Sample one shard straight into the parent's shared-memory tables.
@@ -562,33 +421,20 @@ def _collect_shard_shm(
     The task carries the two segment names and the shard's starting row;
     the worker writes its bit-packed rows in place (see
     :mod:`repro.decoder.transport`), so nothing but this acknowledgement
-    rides the pickle pipe.
+    rides the pipe back.
     """
     shots, seed_seq, det_name, obs_name, row_start = task
-    sim: FrameSimulator = _WORKER["sim"]
     metered = _metrics.enabled()
     start = time.perf_counter() if metered else 0.0
-    det, obs = sim.sample_packed(shots, rng=np.random.default_rng(seed_seq))
+    det, obs, _ = _WORKER["source"].sample_weighted(
+        shots, np.random.default_rng(seed_seq)
+    )
     if metered:
         _ENGINE_SAMPLE_SECONDS.inc(time.perf_counter() - start)
         _ENGINE_SHARDS.inc()
     _transport.write_rows(det_name, row_start, det)
     _transport.write_rows(obs_name, row_start, obs)
     return shots
-
-
-def _collect_shard_shm_metered(task):
-    """Pool-side wrapper for :func:`_collect_shard_shm`; see above."""
-    base = _metrics.snapshot()
-    out = _collect_shard_shm(task)
-    return out, _metrics.delta_since(base)
-
-
-_METERED = {
-    _run_shard: _run_shard_metered,
-    _collect_shard: _collect_shard_metered,
-    _collect_shard_shm: _collect_shard_shm_metered,
-}
 
 
 class DecodingEngine:
@@ -607,39 +453,32 @@ class DecodingEngine:
         shard_shots: shots per shard.  The shard layout is a function of
             the seed and this value only, so results do not depend on
             ``workers``.
-        workers: number of ``multiprocessing`` workers; ``1`` runs inline.
-        packed: when True (default), shards run the bit-packed compiled
-            pipeline (:meth:`~repro.sim.frame.FrameSimulator.sample_packed`
-            feeding :meth:`~repro.decoder.base.BatchDecoder.decode_packed`);
-            ``False`` runs the byte-per-bit reference path.  Both produce
-            bit-identical results for the same seed.
+        workers: number of worker processes; ``1`` runs inline.
         compile_mode: packed-program selection (``"auto"`` / ``"linear"``
             / ``"periodic"``), forwarded to the simulators -- ``"auto"``
             replays a detected repeated round periodically (see
             :mod:`repro.sim.periodic`).  All modes are bit-identical per
             seed; programs are memoized per circuit fingerprint, so
             repeated engines and ``run_until`` batches never recompile.
-        sampler: optional importance sampler (an object with
-            ``sample_weighted(shots, rng) -> (det_keys, obs_keys,
-            log_weights)`` in the packed dedup-key layout, e.g.
-            :class:`repro.estimator.rare.ImportanceSampler`).  When given,
-            shards draw from the sampler's reweighted proposal instead of
-            simulating the circuit, and results carry likelihood-ratio
+        sampler: optional importance sampler, a shot source like the
+            circuit's simulator (``sample_weighted(shots, rng) ->
+            (det_keys, obs_keys, log_weights)`` in the packed dedup-key
+            layout), e.g. :class:`repro.estimator.rare.ImportanceSampler`.
+            When given, shards draw from the sampler's reweighted proposal
+            instead of simulating the circuit, and results carry likelihood-ratio
             weight sums so ``EngineResult.weighted_rate`` estimates the
             failure probability under the *original* model.  The decoder
             still decodes against the original DEM.  ``collect`` is
             unavailable in this mode.
-        transport: shard-table transport for :meth:`collect` -- ``"auto"``
-            / ``"shm"`` write shard rows into shared-memory segments the
-            returned arrays view zero-copy; ``"pickle"`` ships each
-            shard's arrays through the pool pipe and concatenates (the
-            pre-shared-memory baseline).  Bit-identical either way.
 
     The engine keeps one persistent worker pool alive across ``run`` /
-    ``run_until`` calls (spawning a pool ships the circuit and decoder to
-    every worker; respawning per batch wasted that setup).  Call
-    :meth:`close` -- or use the engine as a context manager -- to release
-    the pool; it is also released on garbage collection.
+    ``run_until`` / ``collect`` calls (spawning a pool ships the shot
+    source and decoder to every worker; respawning per batch wasted that
+    setup).  Call :meth:`close` -- or use the engine as a context manager
+    -- to release the pool; it is also released on garbage collection.
+    A worker that dies mid-call raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`; the broken
+    pool is discarded and the next call respawns it.
     """
 
     def __init__(
@@ -652,27 +491,21 @@ class DecodingEngine:
         observable: Optional[int] = 0,
         shard_shots: int = 1024,
         workers: int = 1,
-        packed: bool = True,
         compile_mode: str = "auto",
         sampler=None,
-        transport: str = "auto",
     ) -> None:
         if shard_shots < 1:
             raise ValueError("shard_shots must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(f"unknown transport {transport!r}")
-        self.transport = transport
         self.circuit = circuit
         self.observable = observable
         self.shard_shots = shard_shots
         self.workers = workers
-        self.packed = packed
         self.compile_mode = compile_mode
         self.sampler = sampler
-        self._pool = None
-        # One simulator for serial execution and DEM extraction: its
+        self._pool: Optional[WorkerPool] = None
+        # One simulator for DEM extraction and circuit sampling: its
         # compiled program is fetched once (fingerprint-memoized) and
         # reused across run() calls.
         self._sim = FrameSimulator(circuit, compile_mode=compile_mode)
@@ -705,8 +538,7 @@ class DecodingEngine:
     def close(self) -> None:
         """Release the persistent worker pool (idempotent)."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.close()
             self._pool = None
 
     def __enter__(self) -> "DecodingEngine":
@@ -734,9 +566,11 @@ class DecodingEngine:
         tasks = list(zip(sizes, root.spawn(len(sizes))))
         with span("engine.run", shots=shots, workers=self.workers):
             start = time.perf_counter()
-            results = self._execute(tasks)
+            results = self._ensure_pool().map(_run_shard, tasks)
             elapsed = time.perf_counter() - start
-        result = _sum_stats(results)
+        # Left fold in shard (spawn) order: the float sums come out
+        # bit-identical for any worker count.
+        result = sum(results, _EMPTY)
         _ENGINE_SHOTS.inc(result.shots)
         _ENGINE_FAILURES.inc(result.failures)
         if elapsed > 0:
@@ -846,31 +680,24 @@ class DecodingEngine:
     ) -> EngineResult:
         """Wave loop shared by the early-stop runs (prefix-deterministic)."""
         root = _as_seed_sequence(seed)
-        acc = EngineResult(shots=0, failures=0, shards=0)
+        # One wave is up to `workers` shards.
+        wave_shots = self.workers * self.shard_shots
+        acc = _EMPTY
         beyond = 0
         stopped = False
         while not stopped and acc.shots < max_shots:
-            sizes = self._next_wave_sizes(max_shots - acc.shots)
+            sizes = self._shard_sizes(min(max_shots - acc.shots, wave_shots))
             tasks = list(zip(sizes, root.spawn(len(sizes))))
-            results = self._execute(tasks)
-            for index, stats in enumerate(results):
-                acc = acc + _as_result(stats)
+            results = self._ensure_pool().map(_run_shard, tasks)
+            for index, shard in enumerate(results):
+                acc = acc + shard
                 if should_stop(acc) or acc.shots >= max_shots:
                     beyond = sum(sizes[index + 1:])
                     stopped = True
                     break
         _ENGINE_SHOTS.inc(acc.shots)
         _ENGINE_FAILURES.inc(acc.failures)
-        result = EngineResult(
-            shots=acc.shots,
-            failures=acc.failures,
-            shards=acc.shards,
-            weighted_failures=acc.weighted_failures,
-            weighted_failures_sq=acc.weighted_failures_sq,
-            weight_sum=acc.weight_sum,
-            weight_sq_sum=acc.weight_sq_sum,
-            shots_beyond_stop=beyond,
-        )
+        result = replace(acc, shots_beyond_stop=beyond)
         self._observe_weighted(result)
         return result
 
@@ -889,13 +716,12 @@ class DecodingEngine:
         """Sample detector/observable tables without decoding them.
 
         Shards are drawn exactly as in :meth:`run` (same seed spawning,
-        same layout) and sampled with the packed pipeline.  With the
-        default shared-memory transport, workers write their shard rows
-        directly into two pre-allocated segments at the shard's row
-        offset and the returned arrays are zero-copy views of those
-        segments (see :mod:`repro.decoder.transport`); ``transport=
-        "pickle"`` restores the ship-and-concatenate baseline.  Both
-        transports produce bit-identical tables for the same seed.
+        same layout) and sampled with the packed pipeline.  Workers write
+        their shard rows directly into two pre-allocated shared-memory
+        segments at the shard's row offset, and the returned arrays are
+        zero-copy views of those segments (see
+        :mod:`repro.decoder.transport`); the rows equal a serial
+        concatenation of the per-shard samples.
 
         Returns:
             (detectors, observables): uint8 arrays of shapes
@@ -920,30 +746,18 @@ class DecodingEngine:
                 np.zeros((0, det_width), dtype=np.uint8),
                 np.zeros((0, obs_width), dtype=np.uint8),
             )
-        root = _as_seed_sequence(seed)
         sizes = self._shard_sizes(shots)
-        seeds = root.spawn(len(sizes))
-        if self.transport == "pickle":
-            parts = self._execute(list(zip(sizes, seeds)), fn=_collect_shard)
-            return (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-            )
-        # Shared-memory transport: allocate both output tables once, have
-        # every shard write its rows in place at its offset, and return
-        # views of the segments -- the parent never copies a row.  The
-        # rows, offsets, and values are exactly the pickle path's, so the
-        # transports are bit-identical per seed.
+        seeds = _as_seed_sequence(seed).spawn(len(sizes))
+        # Allocate both output tables once and have every shard write its
+        # rows in place at its offset: the parent never copies a row.
         detectors, det_name = _transport.allocate(shots, det_width)
         observables, obs_name = _transport.allocate(shots, obs_width)
-        offsets = [0]
-        for size in sizes[:-1]:
-            offsets.append(offsets[-1] + size)
+        offsets = itertools.accumulate(sizes[:-1], initial=0)
         tasks = [
             (size, seed_seq, det_name, obs_name, offset)
             for size, seed_seq, offset in zip(sizes, seeds, offsets)
         ]
-        self._execute(tasks, fn=_collect_shard_shm)
+        self._ensure_pool().map(_collect_shard, tasks)
         return detectors, observables
 
     # -- internals ----------------------------------------------------------
@@ -952,44 +766,15 @@ class DecodingEngine:
         full, rest = divmod(shots, self.shard_shots)
         return [self.shard_shots] * full + ([rest] if rest else [])
 
-    def _next_wave_sizes(self, remaining: int) -> List[int]:
-        sizes: List[int] = []
-        for _ in range(self.workers):
-            if remaining <= 0:
-                break
-            size = min(self.shard_shots, remaining)
-            sizes.append(size)
-            remaining -= size
-        return sizes
-
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> WorkerPool:
         if self._pool is None:
-            self._pool = multiprocessing.Pool(
+            source = self.sampler if self.sampler is not None else self._sim
+            self._pool = WorkerPool(
                 self.workers,
                 initializer=_worker_init,
-                initargs=(
-                    self.circuit, self.decoder, self.observable, self.packed,
-                    None, self.compile_mode, self.sampler,
-                ),
+                initargs=(self.circuit, source, self.decoder, self.observable),
             )
         return self._pool
-
-    def _execute(self, tasks, fn=_run_shard) -> List:
-        if self.workers <= 1:
-            _worker_init(
-                self.circuit, self.decoder, self.observable, self.packed,
-                sim=self._sim, sampler=self.sampler,
-            )
-            return [fn(task) for task in tasks]
-        metered = _METERED.get(fn)
-        if metered is None or not _metrics.enabled():
-            return self._ensure_pool().map(fn, tasks)
-        outs: List = []
-        with span("engine.merge_deltas", tasks=len(tasks)):
-            for out, delta in self._ensure_pool().map(metered, tasks):
-                _metrics.merge(delta)
-                outs.append(out)
-        return outs
 
 
 def _as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:

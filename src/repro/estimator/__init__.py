@@ -4,7 +4,7 @@ The paper's evaluation is a family of parameter sweeps over one expensive
 estimator.  This subsystem gives every figure/table driver one engine:
 
 * :mod:`repro.estimator.sweep` -- declarative grid sweeps (named axes,
-  cartesian or zipped), worker-invariant ``multiprocessing`` sharding,
+  cartesian or zipped), worker-invariant process-pool sharding,
   branch-and-bound pruning for optimizers, and CI-width-driven adaptive
   shot budgeting (:func:`adaptive_shots`).
 * :mod:`repro.estimator.rare` -- rare-event Monte Carlo: importance

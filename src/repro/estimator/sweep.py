@@ -9,11 +9,14 @@ serial loop, this module provides:
   pre-paired parameter lists).  Point order is deterministic: cartesian
   products iterate the *last* axis fastest, like nested for-loops.
 * **Worker-invariant sharding** -- points are split into fixed-size shards
-  and mapped over a ``multiprocessing`` pool.  The shard layout depends
-  only on ``shard_size`` (PR 1's decoder-engine idiom), and shard results
-  are concatenated in shard order, so the output is identical for 1 or N
-  workers -- the point functions are deterministic, and each worker
-  process simply warms its own sub-model cache.
+  and mapped over the process pool the decoding engine uses too
+  (:class:`repro.core.pool.WorkerPool`, which also merges the workers'
+  metric deltas).  The shard layout depends only on ``shard_size`` (the
+  decoder engine's idiom), and shard results are concatenated in shard
+  order, so the output is identical for 1 or N workers -- the point
+  functions are deterministic, and each worker process simply warms its
+  own sub-model cache.  A worker that dies mid-sweep raises
+  :class:`~concurrent.futures.process.BrokenProcessPool`.
 * **Measured serial fallback** -- spawning a pool costs real wall time
   (process forks, initializer shipping); on grids whose total work is
   smaller than that overhead, ``jobs > 1`` used to *lose* to serial on
@@ -41,13 +44,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.pool import WorkerPool
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span
 
@@ -189,19 +192,6 @@ def _run_shard(points: List[Dict[str, Any]]) -> List[Record]:
     return records
 
 
-def _run_shard_metered(points: List[Dict[str, Any]]):
-    """Pool-side wrapper: evaluate the shard, ship its metric delta home.
-
-    Mirrors the decoding engine's metered shard protocol so counters and
-    histograms recorded inside pool workers (per-point timings, decoder
-    metrics of nested engines) merge into the parent registry and sweeps
-    stay worker-count invariant in what they report.
-    """
-    base = _metrics.snapshot()
-    records = _run_shard(points)
-    return records, _metrics.delta_since(base)
-
-
 def _shards(points: List[Dict[str, Any]], shard_size: int) -> List[List[Dict[str, Any]]]:
     return [
         points[i : i + shard_size] for i in range(0, len(points), shard_size)
@@ -234,10 +224,12 @@ def measured_pool_overhead(jobs: int) -> float:
     """
     if jobs not in _CALIBRATION:
         start = time.perf_counter()
-        with multiprocessing.Pool(
+        # The no-op tasks bypass _run_shard so that the calibration adds
+        # nothing to the sweep's point counters (worker deltas merge home).
+        with WorkerPool(
             jobs, initializer=_worker_init, initargs=(_calibration_point,)
         ) as pool:
-            pool.map(_run_shard, [[{}] for _ in range(jobs)])
+            pool.map(_calibration_point, [{} for _ in range(jobs)])
         _CALIBRATION[jobs] = time.perf_counter() - start
     return _CALIBRATION[jobs]
 
@@ -248,7 +240,6 @@ def sweep(
     *,
     jobs: int = 1,
     shard_size: int = DEFAULT_SHARD_SIZE,
-    auto_serial: bool = True,
 ) -> List[Record]:
     """Evaluate ``fn`` at every grid point; returns one record per point.
 
@@ -256,8 +247,7 @@ def sweep(
     a function of ``shard_size`` only and shard outputs are concatenated in
     shard order, so serial and sharded runs are identical.
 
-    With ``jobs > 1`` and ``auto_serial`` (the default), the first
-    :data:`_PROBE_POINTS` points are evaluated inline and the rest of the
+    With ``jobs > 1``, the first :data:`_PROBE_POINTS` points are evaluated inline and the rest of the
     grid only goes to a worker pool when its projected serial cost exceeds
     the measured pool-spawn overhead (:func:`measured_pool_overhead`);
     below that threshold the pool can only lose wall time.  The records
@@ -275,9 +265,6 @@ def sweep(
             _SWEEP_RUNS.labels(mode="serial").inc()
             _worker_init(fn)
             return _run_shard(points)
-        if not auto_serial:
-            _SWEEP_RUNS.labels(mode="pooled").inc()
-            return _pooled(fn, points, jobs, shard_size)
         _worker_init(fn)
         records: List[Record] = []
         per_point = math.inf
@@ -300,16 +287,10 @@ def _pooled(
     fn: PointFn, points: List[Dict[str, Any]], jobs: int, shard_size: int
 ) -> List[Record]:
     shards = _shards(points, shard_size)
-    with multiprocessing.Pool(
+    with WorkerPool(
         min(jobs, len(shards)), initializer=_worker_init, initargs=(fn,)
     ) as pool:
-        if _metrics.enabled():
-            shard_results = []
-            for records, delta in pool.map(_run_shard_metered, shards):
-                _metrics.merge(delta)
-                shard_results.append(records)
-        else:
-            shard_results = pool.map(_run_shard, shards)
+        shard_results = pool.map(_run_shard, shards)
     return [record for shard in shard_results for record in shard]
 
 

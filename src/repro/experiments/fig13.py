@@ -23,8 +23,8 @@ from repro.algorithms.factoring import FactoringParameters, estimate_factoring
 from repro.core.idle import optimal_storage_period_volume
 from repro.core.logical_error import required_distance
 from repro.core.params import ArchitectureConfig
-from repro.decoder.analysis import LogicalErrorResult, paired_failure_counts
-from repro.decoder.engine import DecodingEngine, make_decoder
+from repro.decoder.analysis import paired_failure_counts
+from repro.decoder.engine import DecodingEngine, EngineResult, make_decoder
 from repro.estimator.registry import Scenario, ScenarioResult, register_scenario
 from repro.estimator.sweep import grid, sweep
 from repro.sim.frame import FrameSimulator
@@ -106,7 +106,7 @@ def decoder_tradeoff_monte_carlo(
     workers: int = 1,
     target_failures: Optional[int] = None,
     noise=None,
-) -> Dict[str, LogicalErrorResult]:
+) -> Dict[str, EngineResult]:
     """Measured logical error per decoder on one memory experiment.
 
     Every decoder decodes *the same* noise realizations (a paired
@@ -133,31 +133,35 @@ def decoder_tradeoff_monte_carlo(
     # Extract the DEM once (the dominant setup cost) and share it across
     # all decoders.
     dem = FrameSimulator(circuit).detector_error_model()
-    out: Dict[str, LogicalErrorResult] = {}
+    out: Dict[str, EngineResult] = {}
     if target_failures is not None or workers > 1:
         for name in decoders:
             with DecodingEngine(
                 circuit, make_decoder(name, dem), workers=workers
             ) as engine:
                 if target_failures is not None:
-                    res = engine.run_until(
+                    out[name] = engine.run_until(
                         target_failures,
                         max_shots=shots,
                         seed=np.random.SeedSequence(seed),
                     )
                 else:
-                    res = engine.run(shots, seed=np.random.SeedSequence(seed))
-            out[name] = LogicalErrorResult(shots=res.shots, failures=res.failures)
+                    out[name] = engine.run(
+                        shots, seed=np.random.SeedSequence(seed)
+                    )
         return out
+    shard_shots = 1024
     counts = paired_failure_counts(
         circuit,
         {name: name for name in decoders},
         shots,
         seed=np.random.SeedSequence(seed),
         dem=dem,
+        shard_shots=shard_shots,
     )
+    shards = -(-shots // shard_shots)
     return {
-        name: LogicalErrorResult(shots=shots, failures=failures)
+        name: EngineResult(shots=shots, failures=failures, shards=shards)
         for name, failures in counts.items()
     }
 

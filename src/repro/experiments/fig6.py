@@ -55,7 +55,6 @@ def generate_fig6a(
     seed: int = 29,
     workers: int = 1,
     target_failures: Optional[int] = None,
-    packed: bool = True,
     noise=None,
 ) -> Fig6aResult:
     """Run the MC experiments and fit Eq. (4).
@@ -66,9 +65,6 @@ def generate_fig6a(
         workers: parallel decoding-engine workers per point.
         target_failures: when set, each point streams shot batches until
             this many failures are observed (or ``shots`` is reached).
-        packed: run each point's engine on the bit-packed compiled
-            pipeline (default) or the byte-per-bit reference path; the
-            sampled noise and the fits are bit-identical either way.
         noise: circuit noise model for every experiment -- a
             :class:`~repro.noise.models.NoiseModel` instance or registry
             name; ``None`` keeps uniform depolarizing at ``p``.
@@ -80,8 +76,7 @@ def generate_fig6a(
         rounds = d + 1
         res = memory_logical_error(
             d, rounds, p, shots, seed=point_seed,
-            workers=workers, target_failures=target_failures, packed=packed,
-            noise=noise,
+            workers=workers, target_failures=target_failures, noise=noise,
         )
         rates.append(per_round_rate(res, rounds))
     memory_fit = fit_memory_model(list(distances), rates)
@@ -92,7 +87,7 @@ def generate_fig6a(
             res, n = cnot_experiment_rate(
                 d, 6, p, every, shots, seed=next(cnot_seeds),
                 workers=workers, target_failures=target_failures,
-                packed=packed, noise=noise,
+                noise=noise,
             )
             if res.failures == 0:
                 continue

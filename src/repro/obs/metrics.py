@@ -4,11 +4,11 @@ The measurement substrate for every hot subsystem (decoding engine,
 periodic compiler, sweep engine, HTTP service).  Design constraints, in
 order:
 
-* **Worker-count invariance** -- the engines ship work to
-  ``multiprocessing`` pools, and PR 1's contract is that results never
-  depend on the worker count.  Telemetry extends that contract: a worker
-  captures :func:`snapshot` before a shard, computes the
-  :func:`delta_since` after, and ships the delta home with the shard
+* **Worker-count invariance** -- the engines ship work to process pools
+  (:class:`repro.core.pool.WorkerPool`), and PR 1's contract is that
+  results never depend on the worker count.  Telemetry extends that
+  contract: a worker captures :func:`snapshot` before a shard, computes
+  the :func:`delta_since` after, and ships the delta home with the shard
   result; the parent :func:`merge`\\ s it.  Counters and histogram bucket
   arrays are pure sums, so ``jobs=1`` and ``jobs=4`` merge to identical
   deterministic series (wall-clock-valued series differ in *value*, never

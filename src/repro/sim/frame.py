@@ -140,6 +140,20 @@ class FrameSimulator:
         )
         return transpose_packed(det, shots), transpose_packed(obs, shots)
 
+    def sample_weighted(
+        self, shots: int, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray, None]:
+        """:meth:`sample_packed` as a decoding-engine shot source.
+
+        Returns ``(det_keys, obs_keys, None)``: shots drawn from the
+        circuit's own noise all have unit weight, which ``None`` stands
+        for (the importance-sampled source,
+        :meth:`repro.estimator.rare.ImportanceSampler.sample_weighted`,
+        returns per-shot log weights there instead).
+        """
+        det, obs = self.sample_packed(shots, rng=rng)
+        return det, obs, None
+
     # -- detector error model ----------------------------------------------------
 
     def detector_error_model(self) -> DetectorErrorModel:

@@ -1,8 +1,14 @@
 """AST source lint: the repo is clean, and planted defects are caught."""
 
+import ast
 import textwrap
 
-from repro.analysis.source_lint import lint_file, lint_source, source_root
+from repro.analysis.source_lint import (
+    _FileLinter,
+    lint_file,
+    lint_source,
+    source_root,
+)
 
 
 def _lint_snippet(tmp_path, code, **kwargs):
@@ -93,6 +99,18 @@ POOL_PREAMBLE = textwrap.dedent("""
 """)
 
 
+SHARED_POOL_PREAMBLE = textwrap.dedent("""
+    from repro.core.pool import WorkerPool
+    _WORKER = {}
+    _CACHE = {}
+    def _init(payload):
+        _WORKER["payload"] = payload
+    def run(items, payload):
+        with WorkerPool(2, initializer=_init, initargs=(payload,)) as pool:
+            return pool.map(_shard, items)
+""")
+
+
 class TestWorkerStateRule:
     def test_worker_writing_module_state_is_an_error(self, tmp_path):
         diags = _lint_snippet(tmp_path, POOL_PREAMBLE + textwrap.dedent("""
@@ -134,6 +152,37 @@ class TestWorkerStateRule:
                 return item
         """)
         assert _lint_snippet(tmp_path, code, worker_state=("_WORKER", "_CACHE")) == []
+
+    def test_worker_dispatched_through_worker_pool_is_checked(self, tmp_path):
+        # The engine and the sweep dispatch through repro.core.pool's
+        # WorkerPool; its initializer and mapped functions are workers.
+        diags = _lint_snippet(tmp_path, SHARED_POOL_PREAMBLE + textwrap.dedent("""
+            def _shard(item):
+                _CACHE[item] = item * 2
+                return _CACHE[item]
+        """))
+        assert [d.severity for d in diags] == ["error"]
+        assert "'_shard'" in diags[0].message and "_CACHE" in diags[0].message
+
+    def test_worker_pool_initializer_is_checked(self, tmp_path):
+        diags = _lint_snippet(tmp_path, SHARED_POOL_PREAMBLE.replace(
+            '_WORKER["payload"] = payload', '_CACHE["payload"] = payload'
+        ) + textwrap.dedent("""
+            def _shard(item):
+                return item
+        """))
+        assert [d.severity for d in diags] == ["error"]
+        assert "'_init'" in diags[0].message
+
+    def test_engine_and_sweep_workers_are_found(self):
+        expected = {
+            "decoder/engine.py": {"_worker_init", "_run_shard", "_collect_shard"},
+            "estimator/sweep.py": {"_worker_init", "_run_shard"},
+        }
+        for relative, names in expected.items():
+            path = source_root() / relative
+            linter = _FileLinter(path, ast.parse(path.read_text()))
+            assert names <= linter._worker_functions(), relative
 
     def test_non_worker_functions_may_write_module_state(self, tmp_path):
         diags = _lint_snippet(tmp_path, """

@@ -12,9 +12,9 @@ Covers the four layers the overhaul added to the decode path:
   ``caching_disabled()`` / ``REPRO_SYNDROME_CACHE=0``, and leaves
   ``EngineResult`` float-exactly invariant across worker counts and
   cache settings;
-* the shared-memory ``collect`` transport is bit-identical to the pickle
-  baseline, keeps its tables valid after the engine closes, and leaks no
-  ``/dev/shm`` segments.
+* the shared-memory ``collect`` transport returns exactly the serial
+  concatenation of the per-shard samples, keeps its tables valid after
+  the engine closes, and leaks no ``/dev/shm`` segments.
 
 The vectorized ``_unmask_rows`` observable expansion is regression-tested
 against the per-bit loop it replaced.
@@ -282,20 +282,21 @@ class TestSyndromeCacheIntegration:
 
 class TestSharedMemoryTransport:
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_shm_bit_identical_to_pickle(self, d3_setup, workers):
+    def test_collect_equals_serial_sample_packed(self, d3_setup, workers):
+        """collect() == the per-child sample_packed calls, concatenated."""
         circuit, _, _, _ = d3_setup
         with DecodingEngine(
-            circuit, "mwpm", shard_shots=128, workers=workers,
-            transport="pickle",
-        ) as engine:
-            det_ref, obs_ref = engine.collect(1000, seed=17)
-        with DecodingEngine(
-            circuit, "mwpm", shard_shots=128, workers=workers,
-            transport="shm",
+            circuit, "mwpm", shard_shots=128, workers=workers
         ) as engine:
             det_shm, obs_shm = engine.collect(1000, seed=17)
-        assert np.array_equal(det_ref, det_shm)
-        assert np.array_equal(obs_ref, obs_shm)
+        sim = FrameSimulator(circuit)
+        children = np.random.SeedSequence(17).spawn(8)
+        parts = [
+            sim.sample_packed(size, rng=np.random.default_rng(child))
+            for size, child in zip([128] * 7 + [104], children)
+        ]
+        assert np.array_equal(det_shm, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(obs_shm, np.concatenate([p[1] for p in parts]))
 
     def test_tables_survive_engine_close(self, d3_setup):
         circuit, _, _, _ = d3_setup
@@ -325,11 +326,6 @@ class TestSharedMemoryTransport:
         gc.collect()
         leaked = set(os.listdir("/dev/shm")) - before
         assert not leaked
-
-    def test_invalid_transport_rejected(self, d3_setup):
-        circuit, _, _, _ = d3_setup
-        with pytest.raises(ValueError, match="transport"):
-            DecodingEngine(circuit, "mwpm", transport="carrier-pigeon")
 
     def test_zero_shots(self, d3_setup):
         circuit, _, _, _ = d3_setup

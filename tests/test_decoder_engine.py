@@ -11,6 +11,7 @@ import pytest
 from repro.decoder.base import BatchDecoder, Decoder
 from repro.decoder.engine import (
     DecodingEngine,
+    EngineResult,
     available_decoders,
     make_decoder,
     register_decoder,
@@ -297,35 +298,67 @@ class TestEngineAnalysisIntegration:
 
 
 class TestPackedPipeline:
-    """Packed and unpacked engine paths must agree bit for bit."""
+    """The packed engine must agree bit for bit with the unpacked pipeline.
+
+    The unpacked pipeline is replayed serially here: byte-per-bit
+    ``FrameSimulator.sample`` + ``decode_batch`` over the engine's shard
+    seeds.
+    """
+
+    @staticmethod
+    def _unpacked_replay(engine, shots, seed):
+        sim = FrameSimulator(engine.circuit)
+        sizes = engine._shard_sizes(shots)
+        children = np.random.SeedSequence(seed).spawn(len(sizes))
+        failures = 0
+        for size, child in zip(sizes, children):
+            detectors, observables = sim.sample(
+                size, rng=np.random.default_rng(child)
+            )
+            wrong = engine.decoder.decode_batch(detectors) ^ observables
+            if engine.observable is None:
+                failures += int(wrong.any(axis=1).sum())
+            else:
+                failures += int(wrong[:, engine.observable].sum())
+        return EngineResult(shots=shots, failures=failures, shards=len(sizes))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_packed_matches_unpacked_engine(self, memory_setup, workers):
         circuit, _, _, _ = memory_setup
-        results = []
-        for packed in (True, False):
-            with DecodingEngine(
-                circuit, "mwpm", shard_shots=128, workers=workers, packed=packed
-            ) as engine:
-                res = engine.run(700, seed=3)
-            results.append((res.shots, res.failures, res.shards))
-        assert results[0] == results[1]
+        with DecodingEngine(
+            circuit, "mwpm", shard_shots=128, workers=workers
+        ) as engine:
+            res = engine.run(700, seed=3)
+            assert res == self._unpacked_replay(engine, 700, 3)
 
     def test_packed_matches_unpacked_any_observable(self):
         builder = transversal_cnot_experiment(3, 4, 0.004, [1, 2])
-        results = []
-        for packed in (True, False):
-            engine = DecodingEngine(
-                builder.circuit,
-                "sequential",
-                detector_meta=builder.detector_meta,
-                observable=None,
-                shard_shots=128,
-                packed=packed,
-            )
-            res = engine.run(256, seed=3)
-            results.append((res.shots, res.failures))
-        assert results[0] == results[1]
+        engine = DecodingEngine(
+            builder.circuit,
+            "sequential",
+            detector_meta=builder.detector_meta,
+            observable=None,
+            shard_shots=128,
+        )
+        res = engine.run(256, seed=3)
+        assert res.failures > 0
+        assert res == self._unpacked_replay(engine, 256, 3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_uniform_weights_are_exact_counts(self, memory_setup, workers):
+        circuit, _, _, _ = memory_setup
+        with DecodingEngine(
+            circuit, "mwpm", shard_shots=128, workers=workers
+        ) as engine:
+            for res in (
+                engine.run(700, seed=3),
+                engine.run_until(5, max_shots=5000, seed=4),
+            ):
+                assert res.failures > 0
+                assert res.weighted_failures == float(res.failures)
+                assert res.weighted_failures_sq == float(res.failures)
+                assert res.weight_sum == float(res.shots)
+                assert res.weight_sq_sum == float(res.shots)
 
     def test_decode_packed_matches_decode_batch(self, memory_setup):
         _, dem, detectors, _ = memory_setup

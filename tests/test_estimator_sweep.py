@@ -11,6 +11,9 @@ import importlib
 # `repro.estimator.sweep` the *attribute* is shadowed by the function of
 # the same name re-exported from the package __init__.
 sweep_module = importlib.import_module("repro.estimator.sweep")
+# Every worker process in src/ is spawned here; forbidding it proves that
+# no pool of any kind is started.
+pool_module = importlib.import_module("repro.core.pool")
 
 from repro.estimator.sweep import (
     Axis,
@@ -94,12 +97,17 @@ class TestAutoSerialFallback:
 
     def test_small_grid_stays_serial(self, monkeypatch):
         # Huge measured overhead -> the projection always picks serial; a
-        # pool spawn would blow up via the poisoned Pool.
+        # pool spawn would blow up via the poisoned executor.
         monkeypatch.setitem(sweep_module._CALIBRATION, 2, 3600.0)
         monkeypatch.setattr(
-            sweep_module.multiprocessing, "Pool", _forbidden_pool
+            pool_module, "ProcessPoolExecutor", _forbidden_pool
         )
+        # A one-shard remainder would run inline even when pooled, so the
+        # decision itself is read from the mode counter.
+        serial_runs = sweep_module._SWEEP_RUNS.labels(mode="serial")
+        before = serial_runs.value
         records = sweep(_square_point, grid(x=(1, 2, 3, 4)), jobs=2)
+        assert serial_runs.value == before + 1
         assert records == [
             {"x": 1, "square": 1},
             {"x": 2, "square": 4},
@@ -110,23 +118,28 @@ class TestAutoSerialFallback:
     def test_expensive_grid_goes_parallel(self, monkeypatch):
         # Zero measured overhead -> any nonzero projected work parallelizes.
         monkeypatch.setitem(sweep_module._CALIBRATION, 2, 0.0)
+        spawned = []
+        real_executor = pool_module.ProcessPoolExecutor
+
+        def recording_executor(*args, **kwargs):
+            spawned.append(args)
+            return real_executor(*args, **kwargs)
+
+        monkeypatch.setattr(
+            pool_module, "ProcessPoolExecutor", recording_executor
+        )
         serial = sweep(_pair_point, grid(x=tuple(range(6)), y=(1, 2)), jobs=1)
+        assert not spawned
         sharded = sweep(
             _pair_point, grid(x=tuple(range(6)), y=(1, 2)), jobs=2, shard_size=3
         )
         assert sharded == serial
-
-    def test_auto_serial_off_preserves_old_behavior(self, monkeypatch):
-        monkeypatch.setitem(sweep_module._CALIBRATION, 2, 3600.0)
-        records = sweep(
-            _square_point, grid(x=(1, 2, 3)), jobs=2, auto_serial=False
-        )
-        assert [r["square"] for r in records] == [1, 4, 9]
+        assert spawned == [(2,)]  # the pooled path really ran
 
     def test_probe_only_grid(self, monkeypatch):
         # Grids no larger than the probe count never consult the pool.
         monkeypatch.setattr(
-            sweep_module.multiprocessing, "Pool", _forbidden_pool
+            pool_module, "ProcessPoolExecutor", _forbidden_pool
         )
         assert sweep(_square_point, grid(x=(1, 2)), jobs=4) == [
             {"x": 1, "square": 1},
@@ -136,7 +149,7 @@ class TestAutoSerialFallback:
     def test_measured_overhead_memoized(self, monkeypatch):
         monkeypatch.setitem(sweep_module._CALIBRATION, 7, 1.25)
         monkeypatch.setattr(
-            sweep_module.multiprocessing, "Pool", _forbidden_pool
+            pool_module, "ProcessPoolExecutor", _forbidden_pool
         )
         assert measured_pool_overhead(7) == 1.25
 

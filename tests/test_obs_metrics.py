@@ -351,6 +351,29 @@ def test_merged_telemetry_is_worker_count_invariant():
     assert not math.isnan(p[0.5]) and p[0.5] <= p[0.99]
 
 
+def test_worker_phase_counters_come_home_from_pool():
+    """Run and collect shards executed in pool workers report their
+    sample/decode seconds and shard counts to the parent registry."""
+
+    def value(name):
+        return REGISTRY.snapshot()[name]["series"].get((), 0.0)
+
+    circuit = memory_circuit(3, 4, 1e-3)
+    with DecodingEngine(
+        circuit, "mwpm", shard_shots=256, workers=2
+    ) as engine:
+        engine.run(16, seed=1)  # decoder tables built before the reset
+        REGISTRY.reset()
+        engine.run(2048, seed=7)
+        assert value("repro_engine_shards_total") == 8.0
+        sample_s = value("repro_engine_sample_seconds_total")
+        assert sample_s > 0.0
+        assert value("repro_engine_decode_seconds_total") > 0.0
+        engine.collect(1000, seed=8)
+        assert value("repro_engine_shards_total") == 12.0
+        assert value("repro_engine_sample_seconds_total") > sample_s
+
+
 def test_decoder_build_seconds_observed_once_per_build():
     dem = extract_dem(memory_circuit(3, 2, 1e-3))
     REGISTRY.reset()
