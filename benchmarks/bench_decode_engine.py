@@ -4,19 +4,20 @@ Three benchmark families, all written into ``BENCH_frame.json``:
 
 * **Decode path** (:func:`test_engine_speedup_and_determinism`) -- the
   established d=5 anchor comparing per-shot blossom (the pre-engine
-  implementation), dedup subset-DP, and the sharded engine.
+  implementation, from the oracle), dedup subset-DP, and the sharded
+  engine.
 * **Packed frame pipeline** (:func:`packed_vs_unpacked`) -- end-to-end
   sample+decode throughput at d=7, p=1e-3 for three engine
   configurations:
 
   - ``per_shot_baseline``: byte-per-bit ``FrameSimulator.sample``,
-    per-shot decoding with the whole-syndrome blossom matcher
-    (``dedup=False``, ``matcher="blossom"``, ``decompose=False``) -- the
-    repo's historical baseline convention;
+    per-shot decoding with the whole-syndrome blossom matcher of the
+    frozen oracle ``tests/oracles/mwpm_v1.py`` (``dedup=False``,
+    ``matcher="blossom"``) -- the repo's historical baseline convention;
   - ``unpacked_engine``: byte-per-bit sampling + dedup batch decoding
-    with the whole-syndrome matcher (``decompose=False``), replayed
-    serially over the engine's shard seeds -- the engine as it stood
-    before the packed pipeline;
+    with the oracle's whole-syndrome matcher, replayed serially over the
+    engine's shard seeds -- the engine as it stood before the packed
+    pipeline;
   - ``packed_engine``: the default path -- compiled bit-packed sampling,
     packed-key dedup, cluster-decomposed batch-DP MWPM.
 
@@ -64,6 +65,7 @@ As pytest:     PYTHONPATH=src python -m pytest benchmarks/bench_decode_engine.py
 import argparse
 import json
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -88,6 +90,10 @@ from repro.sim.periodic import PeriodicProgram, compile_program
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_frame.json"
 
+# The baselines time the frozen whole-syndrome decoder kept as a test oracle.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.mwpm_v1 import ReferenceMWPM  # noqa: E402
+
 PACKED_SPEEDUP_TARGET = 5.0
 # Floor on the packed path vs the dedup engine it replaced: measured
 # 4.4-5.5x across runs (the workload's blossom tail varies per seed),
@@ -108,7 +114,7 @@ def _report(distance, p, shots):
     sim = FrameSimulator(circuit, rng=np.random.default_rng(47))
     dem = sim.detector_error_model()
     graph = DecodingGraph.from_dem(dem)
-    baseline = MWPMDecoder(graph, matcher="blossom", decompose=False)
+    baseline = ReferenceMWPM(graph, matcher="blossom")
     engine_decoder = MWPMDecoder(graph)
     detectors, observables = sim.sample(shots)
     unique = np.unique(detectors, axis=0).shape[0]
@@ -217,7 +223,7 @@ def packed_vs_unpacked(distance=7, p=1e-3, shots=6000, warm_shots=2048, seed=29)
     res_packed, rate_packed = _timed_engine_run(packed, shots, warm_shots, seed)
 
     res_unpacked, rate_unpacked = _timed_unpacked_run(
-        sim, MWPMDecoder(graph, decompose=False), shots, warm_shots, seed
+        sim, ReferenceMWPM(graph), shots, warm_shots, seed
     )
     # The two timed configurations run *different matchers* (decomposed vs
     # whole-syndrome -- both exact MWPM), so their failure counts are only
@@ -241,7 +247,7 @@ def packed_vs_unpacked(distance=7, p=1e-3, shots=6000, warm_shots=2048, seed=29)
     # slice must stay large enough that the heavy-tailed blossom work per
     # draw does not dominate the between-repeat variance).
     base_shots = max(shots // 5, 256)
-    baseline = MWPMDecoder(graph, matcher="blossom", decompose=False)
+    baseline = ReferenceMWPM(graph, matcher="blossom")
     base_rates = []
     for i in range(TIMING_REPEATS):
         start = time.perf_counter()

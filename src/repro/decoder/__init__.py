@@ -11,9 +11,10 @@ once per batch -- bit-packed rows *are* the fixed-width dedup keys, so the
 packed sampling pipeline hands its output straight to the decoder with no
 pack/unpack round trip.  Implementations:
 
-* :class:`MWPMDecoder` -- minimum-weight perfect matching ("mwpm"), with
-  exact defect-cluster decomposition, a cross-shot cluster cache, and a
-  vectorized subset-DP matcher on the batch path.
+* :class:`MWPMDecoder` -- minimum-weight perfect matching ("mwpm") on
+  dense scipy-built shortest-path tables, with exact defect-cluster
+  decomposition, a cross-shot cluster cache, a vectorized subset-DP
+  matcher, and networkx blossom only for clusters beyond the DP's reach.
 * :class:`UnionFindDecoder` -- cluster growth + peeling ("union_find").
 * :class:`SequentialCNOTDecoder` -- correlated two-pass MWPM for
   transversal-CNOT circuits ("sequential"; needs ``detector_meta``).

@@ -19,10 +19,15 @@ arrive in one of two layouts:
   pipeline never materializes (or re-packs) a byte-per-bit syndrome table;
   only the unique rows are unpacked for decoding.
 
-Subclasses implement ``decode`` (one shot) and expose
-``num_observables``; they may override :meth:`~BatchDecoder._decode_unique`
-to decode the unique syndrome set as a batch (the MWPM decoder vectorizes
-its subset-DP matcher this way).
+Subclasses implement :meth:`~BatchDecoder._decode_unique` (decode a
+batch of unique syndrome rows) and expose ``num_observables`` and
+``num_detectors``; the inherited ``decode`` runs that batch path on one
+row.  Every entry point rejects syndromes whose width differs from the
+decoder's detector count.
+
+Observable masks travel as uint64 words with a trailing word axis,
+``W = ceil(num_observables / 64)`` (at least one word), so one
+representation serves any observable count.
 """
 
 from __future__ import annotations
@@ -96,16 +101,17 @@ class SparseTables(NamedTuple):
 
     singles: np.ndarray  # (num_detectors, num_observables) uint8 rows
     singles_ok: np.ndarray  # (num_detectors,) bool
-    pair_mask: Optional[np.ndarray] = None  # (N, N) int64 observable masks
+    pair_mask: Optional[np.ndarray] = None  # (N, N, W) uint64 mask words
     pair_ok: Optional[np.ndarray] = None  # (N, N) bool
 
 
 class BatchDecoder:
     """Base class providing batched decoding via syndrome deduplication.
 
-    Subclasses implement :meth:`decode` (one shot) and expose
-    ``num_observables`` (as an attribute or property); batching, dedup,
-    and scatter-back live here.  Two optional hooks extend the packed
+    Subclasses implement :meth:`_decode_unique` (a batch of unique rows)
+    and expose ``num_observables`` and ``num_detectors`` (as attributes or
+    properties); single-row decoding, batching, dedup, and scatter-back
+    live here.  Two optional hooks extend the packed
     pipeline:
 
     * :meth:`_sparse_tables` -- closed-form correction tables for
@@ -121,16 +127,32 @@ class BatchDecoder:
     """
 
     num_observables: int
+    num_detectors: int
 
     def decode(self, syndrome: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Predict observable flips for one shot (the batch path on one row).
+
+        Args:
+            syndrome: uint8 vector over detectors (1 = defect).
+
+        Returns:
+            uint8 vector over observables with the predicted flips.
+        """
+        syndrome = np.asarray(syndrome, dtype=np.uint8)
+        self._check_width(syndrome.shape, 1)
+        return self._decode_unique(syndrome[None, :])[0]
+
+    def _check_width(self, shape: "tuple[int, ...]", ndim: int) -> None:
+        """Reject syndromes that are not ``ndim``-D rows over every detector."""
+        if len(shape) != ndim or shape[-1] != self.num_detectors:
+            raise ValueError(
+                f"syndrome shape {shape} does not match the decoder's "
+                f"{self.num_detectors} detectors"
+            )
 
     def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
-        """Decode deduplicated syndrome rows; hook for batch-aware subclasses."""
-        out = np.zeros((syndromes.shape[0], self.num_observables), dtype=np.uint8)
-        for i in range(syndromes.shape[0]):
-            out[i] = self.decode(syndromes[i])
-        return out
+        """Decode deduplicated (rows, num_detectors) syndromes."""
+        raise NotImplementedError
 
     def _sparse_tables(self) -> Optional[SparseTables]:
         """Closed-form <= 2-defect tables, or None (no fast path)."""
@@ -218,19 +240,10 @@ class BatchDecoder:
                 per-shot baseline kept for benchmarking and verification.
         """
         syndromes = np.asarray(syndromes, dtype=np.uint8)
-        num_obs = self.num_observables
-        if syndromes.shape[0] == 0:
-            return np.zeros((0, num_obs), dtype=np.uint8)
-        if not dedup:
-            out = np.zeros((syndromes.shape[0], num_obs), dtype=np.uint8)
-            for i in range(syndromes.shape[0]):
-                out[i] = self.decode(syndromes[i])
-            return out
-        if syndromes.shape[1] == 0:
-            packed = np.zeros((syndromes.shape[0], 0), dtype=np.uint8)
-        else:
-            packed = np.packbits(syndromes, axis=1)
-        return self.decode_packed(packed, syndromes.shape[1])
+        self._check_width(syndromes.shape, 2)
+        return self.decode_packed(
+            np.packbits(syndromes, axis=1), syndromes.shape[1], dedup=dedup
+        )
 
     def decode_packed(
         self, packed: np.ndarray, num_detectors: int, *, dedup: bool = True
@@ -252,6 +265,14 @@ class BatchDecoder:
             uint8 array of shape (shots, num_observables).
         """
         packed = np.ascontiguousarray(packed, dtype=np.uint8)
+        if num_detectors != self.num_detectors or packed.shape[1:] != (
+            (num_detectors + 7) // 8,
+        ):
+            raise ValueError(
+                f"packed syndromes of shape {packed.shape} over "
+                f"{num_detectors} detectors do not match the decoder's "
+                f"{self.num_detectors} detectors"
+            )
         shots = packed.shape[0]
         num_obs = self.num_observables
         if shots == 0:
@@ -278,23 +299,21 @@ class BatchDecoder:
 
 
 def _unmask_rows(masks: np.ndarray, num_observables: int) -> np.ndarray:
-    """Expand int64 observable bitmasks to byte-per-bit prediction rows.
+    """Expand observable mask words to byte-per-bit prediction rows.
 
-    Vectorized replacement for the per-observable ``(mask >> i) & 1``
-    Python loops the decoders used to carry; one broadcasted shift covers
+    ``masks`` has shape ``(..., W)`` (uint64 words, observable ``i`` at bit
+    ``i % 64`` of word ``i // 64``); the result has shape
+    ``(..., num_observables)``.  One little-endian ``unpackbits`` covers
     the whole batch.
     """
-    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-    if num_observables == 0:
-        return np.zeros((masks.shape[0], 0), dtype=np.uint8)
-    shifts = np.arange(num_observables, dtype=np.int64)
-    return ((masks[:, None] >> shifts) & 1).astype(np.uint8)
+    masks = np.ascontiguousarray(masks, dtype="<u8")
+    return np.unpackbits(
+        masks.view(np.uint8), axis=-1, count=num_observables, bitorder="little"
+    )
 
 
 def _unpack_rows(packed: np.ndarray, num_detectors: int) -> np.ndarray:
     """Bit-packed rows back to byte-per-bit rows (trailing pad dropped)."""
-    if num_detectors == 0:
-        return np.zeros((packed.shape[0], 0), dtype=np.uint8)
     return np.unpackbits(packed, axis=1, count=num_detectors)
 
 

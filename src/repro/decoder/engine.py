@@ -112,8 +112,9 @@ _ENGINE_WEIGHT_VARIANCE = _metrics.gauge(
 )
 # One observation per make_decoder call, in the process that builds the
 # decoder (workers receive it pickled), so the count is worker-count
-# invariant.  Buckets extend past LATENCY_BUCKETS' 10 s: the networkx MWPM
-# build alone takes ~30 s at d=11.
+# invariant.  Buckets extend past LATENCY_BUCKETS' 10 s so slow builds stay
+# resolved: the MWPM build is ~1.5 s at d=11, r=12, but its dense tables
+# grow with the square of the detector count.
 _DECODER_BUILD_SECONDS = _metrics.histogram(
     "repro_decoder_build_seconds",
     "Decoder construction time (make_decoder) by registry name.",

@@ -12,13 +12,16 @@ code distance while accounting for cross-patch correlations.
 
 Implementation note: remote detector flips are encoded as pseudo-observables
 of the control-patch graph, reusing :class:`~repro.decoder.mwpm.MWPMDecoder`
-unchanged.
+unchanged (its multi-word observable masks carry one pseudo-observable per
+target detector).  Both passes decode a batch's unique rows with the
+patches' ``decode_batch``, so each pass deduplicates its own projection
+and takes MWPM's cluster cache, subset DP and <= 2-defect fast path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +65,7 @@ class SequentialCNOTDecoder(BatchDecoder):
         if len(detector_meta) != dem.num_detectors:
             raise ValueError("detector metadata does not match the DEM")
         self.basis = basis
+        self.num_detectors = dem.num_detectors
         self.num_observables = dem.num_observables
         self._control_ids: List[int] = []
         self._target_ids: List[int] = []
@@ -99,7 +103,6 @@ class SequentialCNOTDecoder(BatchDecoder):
             num_detectors=len(self._control_ids),
             num_observables=offset + len(self._target_ids),
         )
-        best: Dict[Tuple[int, ...], float] = {}
         for mech in mechanisms:
             if not mech.control_dets:
                 continue
@@ -130,13 +133,11 @@ class SequentialCNOTDecoder(BatchDecoder):
 
     # -- decoding ---------------------------------------------------------------
 
-    def decode(self, syndrome: np.ndarray) -> np.ndarray:
-        """Predict observable flips for one shot over all circuit detectors."""
-        control_syndrome = syndrome[self._control_ids]
-        first = self._control_decoder.decode(control_syndrome)
-        prediction = first[: self.num_observables].copy()
-        remote = first[self.num_observables :]
-        target_syndrome = syndrome[self._target_ids] ^ remote
-        second = self._target_decoder.decode(target_syndrome)
-        prediction ^= second
+    def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
+        """Predict observable flips for unique rows over all circuit detectors."""
+        num_obs = self.num_observables
+        first = self._control_decoder.decode_batch(syndromes[:, self._control_ids])
+        prediction = first[:, :num_obs].copy()
+        target_syndromes = syndromes[:, self._target_ids] ^ first[:, num_obs:]
+        prediction ^= self._target_decoder.decode_batch(target_syndromes)
         return prediction

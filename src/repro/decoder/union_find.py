@@ -193,12 +193,9 @@ class UnionFindDecoder(BatchDecoder):
     def num_observables(self) -> int:
         return self.graph.num_observables
 
-    def decode(self, syndrome: np.ndarray) -> np.ndarray:
-        """Predict observable flips for one syndrome."""
-        syndrome = np.asarray(syndrome, dtype=np.uint8)
-        if not self.batched or self.graph.num_observables > _MASK_OBS_LIMIT:
-            return self._decode_reference(syndrome)
-        return self._decode_unique(syndrome[None, :])[0]
+    @property
+    def num_detectors(self) -> int:
+        return self.graph.num_detectors
 
     def _decode_reference(self, syndrome: np.ndarray) -> np.ndarray:
         """Per-shot reference decode (sequential growth + DFS peel)."""
@@ -207,8 +204,8 @@ class UnionFindDecoder(BatchDecoder):
             return np.zeros(self.graph.num_observables, dtype=np.uint8)
         mask = self._peel(self._grow(set(defects)), set(defects))
         return _unmask_rows(
-            np.array([mask], dtype=np.int64), self.graph.num_observables
-        )[0]
+            np.array([mask], dtype=np.uint64), self.graph.num_observables
+        )
 
     # -- sparse fast path / cache hooks -------------------------------------
 
@@ -293,7 +290,7 @@ class UnionFindDecoder(BatchDecoder):
             masks[start:start + chunk], flagged[start:start + chunk] = (
                 self._arena(block, edges)
             )
-        out = _unmask_rows(masks, num_obs)
+        out = _unmask_rows(masks.view(np.uint64)[:, None], num_obs)
         # Rows where round-synchronous growth could diverge from the
         # sequential reference (live-live merges with carried-over support,
         # or a grown cycle whose observable mask makes the correction

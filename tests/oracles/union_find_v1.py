@@ -16,8 +16,14 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.decoder.base import _unmask_rows
+from repro.decoder.base import _unmask_rows as _unmask_words
 from repro.decoder.graph import BOUNDARY, DecodingGraph
+
+
+def _unmask_rows(masks: np.ndarray, num_observables: int) -> np.ndarray:
+    """The int64-mask expansion this copy was written against."""
+    words = np.asarray(masks, dtype=np.int64).view(np.uint64)[:, None]
+    return _unmask_words(words, num_observables)
 
 _ZERO_WEIGHT = 1e-5
 _MAX_ROUNDS = 10_000

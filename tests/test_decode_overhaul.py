@@ -16,8 +16,8 @@ Covers the four layers the overhaul added to the decode path:
   concatenation of the per-shard samples, keeps its tables valid after
   the engine closes, and leaks no ``/dev/shm`` segments.
 
-The vectorized ``_unmask_rows`` observable expansion is regression-tested
-against the per-bit loop it replaced.
+The vectorized ``_unmask_rows`` expansion of uint64 mask words is
+regression-tested against a per-bit loop, up to three words.
 """
 
 import gc
@@ -30,12 +30,13 @@ import pytest
 from repro.core.cache import cache_stats, caching_disabled, clear_caches
 from repro.decoder.base import _unmask_rows
 from repro.decoder.cache import SyndromeCache, cache_enabled, syndrome_cache
-from repro.decoder.engine import DecodingEngine
+from repro.decoder.engine import DecodingEngine, make_decoder
 from repro.decoder.graph import DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.union_find import UnionFindDecoder
+from repro.noise.dem import extract_dem
 from repro.sim.frame import FrameSimulator
-from repro.sim.memory import memory_circuit
+from repro.sim.memory import memory_circuit, transversal_cnot_experiment
 
 
 @pytest.fixture(scope="module")
@@ -101,20 +102,23 @@ class TestBatchedUnionFind:
 
 
 class TestUnmaskRows:
-    @pytest.mark.parametrize("num_obs", [1, 7, 62])
+    @pytest.mark.parametrize("num_obs", [1, 7, 62, 64, 130])
     def test_matches_per_bit_loop(self, num_obs):
         rng = np.random.default_rng(31)
+        words = -(-num_obs // 64)
         masks = rng.integers(
-            0, 1 << num_obs, size=64, dtype=np.int64
+            0, np.iinfo(np.uint64).max, size=(64, words), dtype=np.uint64,
+            endpoint=True,
         )
-        expected = np.zeros((masks.size, num_obs), dtype=np.uint8)
-        for i, mask in enumerate(masks):
+        expected = np.zeros((masks.shape[0], num_obs), dtype=np.uint8)
+        for i, row in enumerate(masks):
+            mask = sum(int(word) << (64 * w) for w, word in enumerate(row))
             for bit in range(num_obs):
-                expected[i, bit] = (int(mask) >> bit) & 1
+                expected[i, bit] = (mask >> bit) & 1
         assert np.array_equal(_unmask_rows(masks, num_obs), expected)
 
     def test_zero_observables(self):
-        out = _unmask_rows(np.zeros(5, dtype=np.int64), 0)
+        out = _unmask_rows(np.zeros((5, 1), dtype=np.uint64), 0)
         assert out.shape == (5, 0)
 
 
@@ -139,9 +143,22 @@ class TestSparseFastPath:
         full = decoder._decode_unique(rows)
         assert np.array_equal(fast, full)
 
-    def test_blossom_matcher_opts_out(self, d3_setup):
-        _, graph, _, _ = d3_setup
-        assert MWPMDecoder(graph, matcher="blossom")._sparse_tables() is None
+    def test_multiword_mwpm_two_defect_certification(self):
+        # The sequential decoder's control graph carries one pseudo-
+        # observable per target detector (> 64 at d=5): two mask words.
+        builder = transversal_cnot_experiment(5, 6, 0.004, [1, 2])
+        sequential = make_decoder(
+            "sequential",
+            extract_dem(builder.circuit),
+            detector_meta=builder.detector_meta,
+        )
+        decoder = sequential._control_decoder
+        assert decoder.num_observables > 64
+        rows = _sparse_rows(decoder.num_detectors)
+        assert decoder._sparse_tables() is not None
+        fast = decoder._decode_unique_rows(rows)
+        full = decoder._decode_unique(rows)
+        assert np.array_equal(fast, full)
 
     def test_per_shot_union_find_opts_out(self, d3_setup):
         _, graph, _, _ = d3_setup
@@ -218,10 +235,6 @@ class TestSyndromeCacheIntegration:
             != MWPMDecoder(other)._cache_token()
         )
         # Decoder configuration is part of the fingerprint too.
-        assert (
-            MWPMDecoder(graph)._cache_token()
-            != MWPMDecoder(graph, decompose=False)._cache_token()
-        )
         assert (
             UnionFindDecoder(graph)._cache_token()
             != UnionFindDecoder(graph, batched=False)._cache_token()

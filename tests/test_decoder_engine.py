@@ -20,8 +20,11 @@ from repro.decoder.graph import DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.sequential import SequentialCNOTDecoder
 from repro.decoder.union_find import UnionFindDecoder
+from repro.noise.dem import extract_dem
 from repro.sim.frame import DetectorErrorModel, ErrorMechanism, FrameSimulator
 from repro.sim.memory import memory_circuit, transversal_cnot_experiment
+
+from oracles.mwpm_v1 import ReferenceMWPM
 
 
 @pytest.fixture(scope="module")
@@ -114,11 +117,12 @@ class TestDedupEquality:
     def test_zero_detector_circuit(self, memory_setup):
         # A (shots, 0) syndrome table must still yield one row per shot.
         _, dem, _, _ = memory_setup
-        decoder = make_decoder("mwpm", dem)
+        decoder = MWPMDecoder(DecodingGraph(0, dem.num_observables))
         syndromes = np.zeros((5, 0), dtype=np.uint8)
+        out = decoder.decode_batch(syndromes)
+        assert out.shape == (5, dem.num_observables)
         np.testing.assert_array_equal(
-            decoder.decode_batch(syndromes),
-            decoder.decode_batch(syndromes, dedup=False),
+            out, decoder.decode_batch(syndromes, dedup=False)
         )
 
 
@@ -197,7 +201,7 @@ class TestMWPMMatchers:
         )
         blossom_failures = int(
             (
-                MWPMDecoder(graph, matcher="blossom").decode_batch(detectors)[:, 0]
+                ReferenceMWPM(graph, matcher="blossom").decode_batch(detectors)[:, 0]
                 ^ observables[:, 0]
             ).sum()
         )
@@ -205,18 +209,50 @@ class TestMWPMMatchers:
         # but the failure counts must agree to within a sliver.
         assert abs(dp_failures - blossom_failures) <= 2
 
-    def test_unknown_matcher_rejected(self, memory_setup):
-        _, dem, _, _ = memory_setup
-        with pytest.raises(ValueError, match="matcher"):
-            MWPMDecoder(DecodingGraph.from_dem(dem), matcher="greedy")
-
     def test_large_defect_count_falls_back_to_blossom(self, memory_setup):
-        # > _DP_MATCH_LIMIT defects exercises the blossom path in "auto".
+        # 14 adjacent defects: large clusters reach the subset-DP limit.
         _, dem, _, _ = memory_setup
         decoder = MWPMDecoder(DecodingGraph.from_dem(dem))
         syndrome = np.zeros(dem.num_detectors, dtype=np.uint8)
         syndrome[:14] = 1
         assert decoder.decode(syndrome).shape == (dem.num_observables,)
+
+
+@pytest.fixture(scope="module")
+def cnot_decoders():
+    """All three registered decoder kinds on one d=3 transversal-CNOT DEM."""
+    builder = transversal_cnot_experiment(3, 4, 0.004, [1, 2])
+    dem = extract_dem(builder.circuit)
+    return {
+        name: make_decoder(name, dem, detector_meta=builder.detector_meta)
+        for name in ("mwpm", "union_find", "sequential")
+    }
+
+
+class TestSyndromeWidth:
+    @pytest.mark.parametrize("name", ["mwpm", "union_find", "sequential"])
+    @pytest.mark.parametrize("entry", ["decode", "decode_batch", "decode_packed"])
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_wrong_width_rejected(self, cnot_decoders, name, entry, delta):
+        decoder = cnot_decoders[name]
+        width = decoder.num_detectors + delta
+        rows = np.zeros((2, width), dtype=np.uint8)
+        rows[:, width - 1] = 1
+        with pytest.raises(ValueError, match="detectors"):
+            if entry == "decode":
+                decoder.decode(rows[0])
+            elif entry == "decode_batch":
+                decoder.decode_batch(rows)
+            else:
+                decoder.decode_packed(np.packbits(rows, axis=1), width)
+
+    def test_short_row_no_longer_decodes(self):
+        graph = DecodingGraph(num_detectors=3, num_observables=1)
+        graph.add_mechanism((0,), 0.01, frozenset({0}))
+        graph.add_mechanism((0, 1), 0.01, frozenset())
+        graph.add_mechanism((1, 2), 0.01, frozenset())
+        with pytest.raises(ValueError, match="detectors"):
+            MWPMDecoder(graph).decode(np.array([0, 1], dtype=np.uint8))
 
 
 class TestMWPMOddDefectGuard:
@@ -407,7 +443,7 @@ class TestMWPMDecomposition:
     def test_decomposed_agrees_with_whole_syndrome_failures(self, memory_setup):
         _, dem, detectors, observables = memory_setup
         graph = DecodingGraph.from_dem(dem)
-        whole = MWPMDecoder(graph, decompose=False).decode_batch(detectors)
+        whole = ReferenceMWPM(graph).decode_batch(detectors)
         split = MWPMDecoder(graph).decode_batch(detectors)
         whole_failures = int((whole[:, 0] ^ observables[:, 0]).sum())
         split_failures = int((split[:, 0] ^ observables[:, 0]).sum())
