@@ -21,8 +21,8 @@ module provides the process-wide cache those sweeps share:
   this module, never the reverse); ``cache_stats()`` remains the stable
   programmatic API.
 * :func:`clear_caches` -- reset every registered cache (cold-start timing).
-* :func:`caching_disabled` -- context manager bypassing every cache, for
-  honest cached-vs-uncached A/B measurements.
+* :func:`caching_disabled` -- context manager bypassing every
+  :func:`memoized` cache, for honest cached-vs-uncached A/B measurements.
 * :func:`code_version` -- a fingerprint of the installed ``repro`` source
   tree, used by the persistent result store to invalidate entries computed
   by older code and stamped into every ``ScenarioResult``'s metadata.
@@ -61,16 +61,6 @@ _FINGERPRINT_LOCK = threading.Lock()
 
 def _bypassed() -> bool:
     return getattr(_LOCAL, "disabled", False)
-
-
-def bypassed() -> bool:
-    """True while :func:`caching_disabled` is active on this thread.
-
-    Public probe for hand-rolled caches (see :func:`register_cache`) that
-    implement their own lookup path and must honor the same bypass switch
-    as :func:`memoized` wrappers.
-    """
-    return _bypassed()
 
 
 def _hashable(args: tuple, kwargs: dict) -> bool:

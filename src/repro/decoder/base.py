@@ -111,19 +111,12 @@ class BatchDecoder:
     Subclasses implement :meth:`_decode_unique` (a batch of unique rows)
     and expose ``num_observables`` and ``num_detectors`` (as attributes or
     properties); single-row decoding, batching, dedup, and scatter-back
-    live here.  Two optional hooks extend the packed
-    pipeline:
-
-    * :meth:`_sparse_tables` -- closed-form correction tables for
-      syndromes with <= 2 defects (:class:`SparseTables`); rows they
-      cover bypass :meth:`_decode_unique` entirely.
-    * :meth:`_cache_token` -- a content fingerprint of the decoder; when
-      non-None, unique rows are served from / inserted into the
-      cross-batch syndrome cache (:mod:`repro.decoder.cache`).
-
-    Both are pure optimizations: their outputs are certified/constructed
-    bit-identical to the full path, so enabling them never changes a
-    decoded row.
+    live here.  One optional hook extends the packed pipeline:
+    :meth:`_sparse_tables` returns closed-form correction tables for
+    syndromes with <= 2 defects (:class:`SparseTables`); rows they cover
+    bypass :meth:`_decode_unique` entirely.  The tables are a pure
+    optimization: their rows are certified/constructed bit-identical to
+    the full path, so enabling them never changes a decoded row.
     """
 
     num_observables: int
@@ -156,14 +149,6 @@ class BatchDecoder:
 
     def _sparse_tables(self) -> Optional[SparseTables]:
         """Closed-form <= 2-defect tables, or None (no fast path)."""
-        return None
-
-    def _cache_token(self) -> Optional[str]:
-        """Fingerprint keying the syndrome cache, or None (no caching).
-
-        Must change whenever the decoder could produce a different row
-        for the same syndrome (graph content, matcher configuration).
-        """
         return None
 
     def _decode_unique_rows(self, syndromes: np.ndarray) -> np.ndarray:
@@ -206,48 +191,20 @@ class BatchDecoder:
             )
         return out
 
-    def _decode_unique_packed(
-        self, unique_packed: np.ndarray, num_detectors: int
-    ) -> np.ndarray:
-        """Decode unique packed rows through the cache + fast-path stack."""
-        from repro.decoder import cache as _syndrome_cache
-
-        token = self._cache_token()
-        if token is None or not _syndrome_cache.cache_enabled():
-            return self._decode_unique_rows(
-                _unpack_rows(unique_packed, num_detectors)
-            )
-        out, pending = _syndrome_cache.lookup_rows(
-            token, unique_packed, self.num_observables, type(self).__name__
-        )
-        if pending.size:
-            sub_packed = unique_packed[pending]
-            decoded = self._decode_unique_rows(
-                _unpack_rows(sub_packed, num_detectors)
-            )
-            out[pending] = decoded
-            _syndrome_cache.insert_rows(token, sub_packed, decoded)
-        return out
-
-    def decode_batch(self, syndromes: np.ndarray, *, dedup: bool = True) -> np.ndarray:
+    def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode many shots; returns (shots, num_observables) flips.
+
+        Each unique syndrome row is decoded once and its prediction
+        scattered back to the duplicate shots.
 
         Args:
             syndromes: uint8 array of shape (shots, num_detectors).
-            dedup: when True (default), decode each unique syndrome row
-                once and scatter predictions back to duplicate shots.  The
-                output is bit-identical either way; ``dedup=False`` is the
-                per-shot baseline kept for benchmarking and verification.
         """
         syndromes = np.asarray(syndromes, dtype=np.uint8)
         self._check_width(syndromes.shape, 2)
-        return self.decode_packed(
-            np.packbits(syndromes, axis=1), syndromes.shape[1], dedup=dedup
-        )
+        return self.decode_packed(np.packbits(syndromes, axis=1), syndromes.shape[1])
 
-    def decode_packed(
-        self, packed: np.ndarray, num_detectors: int, *, dedup: bool = True
-    ) -> np.ndarray:
+    def decode_packed(self, packed: np.ndarray, num_detectors: int) -> np.ndarray:
         """Decode bit-packed per-shot syndromes; returns byte-per-bit flips.
 
         Args:
@@ -259,7 +216,6 @@ class BatchDecoder:
                 pack/unpack round trip happens on the batch; only unique
                 rows are unpacked for the decoder.
             num_detectors: number of valid bits per row.
-            dedup: as in :meth:`decode_batch`.
 
         Returns:
             uint8 array of shape (shots, num_observables).
@@ -274,18 +230,13 @@ class BatchDecoder:
                 f"{self.num_detectors} detectors"
             )
         shots = packed.shape[0]
-        num_obs = self.num_observables
         if shots == 0:
-            return np.zeros((0, num_obs), dtype=np.uint8)
-        if not dedup:
-            syndromes = _unpack_rows(packed, num_detectors)
-            out = np.zeros((shots, num_obs), dtype=np.uint8)
-            for i in range(shots):
-                out[i] = self.decode(syndromes[i])
-            return out
+            return np.zeros((0, self.num_observables), dtype=np.uint8)
         start = time.perf_counter() if _metrics.enabled() else 0.0
         first_index, inverse = _unique_packed_rows(packed)
-        unique_out = self._decode_unique_packed(packed[first_index], num_detectors)
+        unique_out = self._decode_unique_rows(
+            _unpack_rows(packed[first_index], num_detectors)
+        )
         out = unique_out[inverse]
         if _metrics.enabled():
             label = type(self).__name__
@@ -296,6 +247,13 @@ class BatchDecoder:
             _DECODE_UNIQUE.labels(decoder=label).inc(len(first_index))
             _DECODE_BATCH_UNIQUE.labels(decoder=label).observe(len(first_index))
         return out
+
+
+def _mask_words(mask: int, num_observables: int) -> "list[int]":
+    """A Python-int observable mask as the ``W`` uint64 words of
+    :func:`_unmask_rows` (word ``w`` holds observables ``64w..64w+63``)."""
+    words = max(1, -(-num_observables // 64))
+    return [(mask >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(words)]
 
 
 def _unmask_rows(masks: np.ndarray, num_observables: int) -> np.ndarray:

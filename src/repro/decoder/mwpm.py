@@ -38,7 +38,8 @@ in a cross-call cache: in sub-threshold Monte-Carlo runs full syndromes
 are mostly unique, but they are combinations of a *small* recurring set
 of local clusters, so most unique syndromes cost a few dict lookups.
 ``repro_mwpm_clusters_total{path=}`` counts the cluster solves by
-matcher.
+matcher, and the ``repro_mwpm_cluster_size{path=dp|blossom}`` histogram
+records each solved cluster's defect count.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from repro.decoder.base import BatchDecoder, SparseTables, _unmask_rows
+from repro.decoder.base import BatchDecoder, SparseTables, _mask_words, _unmask_rows
 from repro.decoder.graph import DecodingGraph
 from repro.obs import metrics as _metrics
 
@@ -81,6 +82,16 @@ _CLUSTERS = _metrics.counter(
     "Defect clusters MWPM matched (cluster-cache misses), by matcher: "
     "vectorized subset DP, scalar subset DP, or networkx blossom.",
     ("path",),
+)
+# The same solves, one observation each of the defect count (the spectrum
+# that decides how much decode goes to blossom; 14 = _VEC_DP_LIMIT is a
+# bucket edge).  Per process like _CLUSTERS, so not worker-count invariant.
+_CLUSTER_SIZE = _metrics.histogram(
+    "repro_mwpm_cluster_size",
+    "Defects per cluster MWPM matched (cluster-cache misses), by matcher "
+    "family: subset DP or networkx blossom.",
+    ("path",),
+    bounds=(1, 2, 3, 4, 6, 8, 10, 12, 14, 16, 20, 24, 32, 48, 64),
 )
 
 # Popcount-layer tables for the batched DP, memoized per defect count:
@@ -125,7 +136,7 @@ def _path_tables(graph: DecodingGraph) -> Tuple[np.ndarray, np.ndarray]:
             mask |= 1 << obs
         ends.append((u, v))
         weights.append(edge.weight)
-        masks.append([(mask >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(words)])
+        masks.append(_mask_words(mask, graph.num_observables))
     a, b = np.array(ends, dtype=np.intp).reshape(-1, 2).T
     weight = np.array(weights, dtype=np.float64)
     dist = dijkstra(
@@ -182,7 +193,6 @@ class MWPMDecoder(BatchDecoder):
         self._dist, self._obs = _path_tables(graph)
         self._cluster_cache: Dict[Tuple[int, ...], bytes] = {}
         self._sparse: "SparseTables | None" = None
-        self._token: "str | None" = None
 
     @property
     def num_observables(self) -> int:
@@ -192,13 +202,7 @@ class MWPMDecoder(BatchDecoder):
     def num_detectors(self) -> int:
         return self.graph.num_detectors
 
-    # -- sparse fast path / cache hooks -------------------------------------
-
-    def _cache_token(self) -> str:
-        """Content fingerprint keying the cross-batch syndrome cache."""
-        if self._token is None:
-            self._token = f"mwpm:{self.graph.digest()}"
-        return self._token
+    # -- sparse fast path ---------------------------------------------------
 
     def _sparse_tables(self) -> SparseTables:
         """Closed-form <= 2-defect corrections from the path tables.
@@ -351,6 +355,9 @@ class MWPMDecoder(BatchDecoder):
             out[group] = masks
             if _metrics.enabled():
                 _CLUSTERS.labels(path=path).inc(len(group))
+                sizes = _CLUSTER_SIZE.labels(path="blossom" if k > _VEC_DP_LIMIT else "dp")
+                for _ in group:
+                    sizes.observe(k)
         cache = self._cluster_cache
         for cluster, mask in zip(clusters, out):
             if len(cache) >= _CLUSTER_CACHE_LIMIT:

@@ -42,7 +42,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.decoder.base import BatchDecoder, SparseTables, _unmask_rows
+from repro.decoder.base import BatchDecoder, SparseTables, _mask_words, _unmask_rows
 from repro.decoder.graph import BOUNDARY, DecodingGraph
 from repro.obs import metrics as _metrics
 
@@ -187,7 +187,6 @@ class UnionFindDecoder(BatchDecoder):
             )
         self._edge_cache: Optional[_EdgeArrays] = None
         self._sparse_cache: "SparseTables | bool | None" = None
-        self._token: Optional[str] = None
 
     @property
     def num_observables(self) -> int:
@@ -203,19 +202,12 @@ class UnionFindDecoder(BatchDecoder):
         if not defects:
             return np.zeros(self.graph.num_observables, dtype=np.uint8)
         mask = self._peel(self._grow(set(defects)), set(defects))
+        num_obs = self.graph.num_observables
         return _unmask_rows(
-            np.array([mask], dtype=np.uint64), self.graph.num_observables
+            np.array(_mask_words(mask, num_obs), dtype=np.uint64), num_obs
         )
 
-    # -- sparse fast path / cache hooks -------------------------------------
-
-    def _cache_token(self) -> str:
-        """Content fingerprint keying the cross-batch syndrome cache."""
-        if self._token is None:
-            self._token = (
-                f"union_find:{int(self.batched)}:{self.graph.digest()}"
-            )
-        return self._token
+    # -- sparse fast path ---------------------------------------------------
 
     def _sparse_tables(self) -> Optional[SparseTables]:
         """Single-defect correction table, precomputed through the arena.

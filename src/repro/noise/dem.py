@@ -7,10 +7,11 @@ and logical observables flip when that mechanism fires, together with the
 firing probability.  Mechanisms with identical symptoms are merged by XOR
 convolution.
 
-Extraction propagates each mechanism through the Clifford circuit with the
-Pauli-frame engine of :mod:`repro.sim.frame`, one frame row per mechanism:
-the mechanism's Pauli is injected into its row at the channel's position,
-all deterministic ops conjugate every row at once, and the row's final
+Extraction propagates every mechanism through the Clifford circuit at
+once on the compiled bit-packed program of :mod:`repro.sim.compiled`, one
+bit column per mechanism: the mechanism's Pauli is injected into its
+column at the channel's position, the deterministic steps conjugate all
+columns together (64 per ALU op), and the column's final
 detector/observable flips are the symptom.  This covers every channel of
 the op table (:data:`repro.sim.ops.NOISE`), including the biased
 ``PAULI_CHANNEL_1`` / ``PAULI_CHANNEL_2`` whose per-outcome probabilities
@@ -30,7 +31,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from itertools import accumulate, chain
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -107,16 +109,10 @@ class DetectorErrorModel:
         Two independent sources with the same symptom act like one source
         firing with probability p = p1 (1 - p2) + p2 (1 - p1).
         """
-        combined: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float] = {}
-        for mech in self.mechanisms:
-            key = (mech.detectors, mech.observables)
-            prior = combined.get(key, 0.0)
-            combined[key] = prior * (1 - mech.probability) + mech.probability * (1 - prior)
-        merged = [
-            ErrorMechanism(p, dets, obs)
-            for (dets, obs), p in sorted(combined.items())
-            if p > 0
-        ]
+        merged = _merge(
+            (mech.probability, mech.detectors, mech.observables)
+            for mech in self.mechanisms
+        )
         return DetectorErrorModel(merged, self.num_detectors, self.num_observables)
 
     def reweighted(
@@ -154,6 +150,24 @@ class DetectorErrorModel:
         return DetectorErrorModel(
             mechanisms, self.num_detectors, self.num_observables
         )
+
+
+# An unmerged extracted mechanism: (probability, detectors, observables).
+RawMechanism = Tuple[float, Tuple[int, ...], Tuple[int, ...]]
+
+
+def _merge(mechanisms: Iterable[RawMechanism]) -> List[ErrorMechanism]:
+    """XOR-convolve same-symptom mechanisms, in order; sorted by symptom."""
+    combined: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float] = {}
+    for p, dets, obs in mechanisms:
+        key = (dets, obs)
+        prior = combined.get(key, 0.0)
+        combined[key] = prior * (1 - p) + p * (1 - prior)
+    return [
+        ErrorMechanism(p, dets, obs)
+        for (dets, obs), p in sorted(combined.items())
+        if p > 0
+    ]
 
 
 def enumerate_mechanisms(circuit: "Circuit"):
@@ -214,7 +228,7 @@ def enumerate_mechanisms(circuit: "Circuit"):
 def extract_dem(
     circuit: "Circuit", *, verify: bool = False, method: str = "auto"
 ) -> DetectorErrorModel:
-    """Extract the DEM by propagating one frame row per error mechanism.
+    """Extract the DEM by propagating one frame bit column per mechanism.
 
     Args:
         circuit: the noisy circuit.
@@ -265,11 +279,10 @@ def extract_dem(
             mechanisms = _linear_mechanisms(circuit)
     _EXTRACT_SECONDS.labels(method=used).inc(time.perf_counter() - start)
     dem = DetectorErrorModel(
-        [m for m in mechanisms if m.detectors or m.observables],
+        _merge(m for m in mechanisms if m[1] or m[2]),
         circuit.num_detectors,
         circuit.num_observables,
     )
-    dem = dem.merged()
     if verify:
         from repro.analysis import verify_dem
 
@@ -277,41 +290,15 @@ def extract_dem(
     return dem
 
 
-def _linear_mechanisms(circuit: "Circuit") -> List[ErrorMechanism]:
-    """Unmerged mechanism list via one frame row per mechanism (reference)."""
-    from repro.sim.frame import FrameSimulator, _Cursor
-    from repro.sim.ops import NOISE
-
-    sim = FrameSimulator(circuit)
+def _linear_mechanisms(circuit: "Circuit") -> List[RawMechanism]:
+    """Unmerged mechanism list via one packed propagation of the circuit."""
     mechanisms = enumerate_mechanisms(circuit)
-    count = len(mechanisms)
-    frame_x = np.zeros((count, sim.num_qubits), dtype=np.uint8)
-    frame_z = np.zeros((count, sim.num_qubits), dtype=np.uint8)
-    flips = np.zeros((count, circuit.num_measurements), dtype=np.uint8)
-    detectors = np.zeros((count, circuit.num_detectors), dtype=np.uint8)
-    observables = np.zeros((count, max(circuit.num_observables, 1)), dtype=np.uint8)
-    cursor = _Cursor()
-    noise_index = 0
-    for op in circuit.operations:
-        if op.name in NOISE:
-            # Inject the mechanisms tied to this op into their rows.
-            while noise_index < count and mechanisms[noise_index][0] is op:
-                _, _, x_flip_qubits, z_flip_qubits, _ = mechanisms[noise_index]
-                row = noise_index
-                for q in x_flip_qubits:
-                    frame_x[row, q] ^= 1
-                for q in z_flip_qubits:
-                    frame_z[row, q] ^= 1
-                noise_index += 1
-        else:
-            sim._apply(op, frame_x, frame_z, flips, detectors, observables, cursor)
+    symptoms, _ = _mechanism_symptoms_packed(
+        circuit, mechanisms, [None] * len(circuit.operations)
+    )
     return [
-        ErrorMechanism(
-            probability=prob,
-            detectors=tuple(int(d) for d in np.flatnonzero(detectors[row])),
-            observables=tuple(int(o) for o in np.flatnonzero(observables[row])),
-        )
-        for row, (_, prob, _, _, _) in enumerate(mechanisms)
+        (prob, dets, obs)
+        for (_, prob, _, _, _), (dets, obs) in zip(mechanisms, symptoms)
     ]
 
 
@@ -322,8 +309,8 @@ def _linear_mechanisms(circuit: "Circuit") -> List[ErrorMechanism]:
 # the same detector pattern as its replay-0 twin, offset by j rounds.
 # Extraction therefore builds a *surrogate* circuit with only
 # _SURROGATE_REPS replays (epilogue record references rebased), computes
-# its mechanisms with a packed propagation (one bit column per mechanism
-# instead of one byte row), certifies shift invariance inside the
+# its mechanisms with the same packed propagation as the linear path
+# (one bit column per mechanism), certifies shift invariance inside the
 # surrogate, and unrolls: prologue mechanisms verbatim, the certified
 # bulk round replicated with shifted detector rows, the trailing
 # epilogue-influenced rounds and the epilogue shifted to their full-
@@ -339,7 +326,7 @@ _SURROGATE_REPS = 5
 
 def _periodic_mechanisms(
     circuit: "Circuit",
-) -> Tuple[Optional[List[ErrorMechanism]], Optional[str]]:
+) -> Tuple[Optional[List[RawMechanism]], Optional[str]]:
     """Mechanism list via periodic unrolling: ``(mechanisms, reason)``.
 
     ``(list, None)`` on success; ``(None, reason)`` when a certification
@@ -411,11 +398,9 @@ def _periodic_mechanisms(
     # Group per region, normalizing body detector rows to replay 0.
     prologue_rows = spec.det_start
     det_per_rep = spec.det_per_rep
-    prologue_mechs: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
-    epilogue_mechs: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
-    replay_seqs: List[List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]]] = [
-        [] for _ in range(surrogate_reps)
-    ]
+    prologue_mechs: List[RawMechanism] = []
+    epilogue_mechs: List[RawMechanism] = []
+    replay_seqs: List[List[RawMechanism]] = [[] for _ in range(surrogate_reps)]
     for (_, prob, _, _, _), (dets, obs), region in zip(
         mechanisms, symptoms, mech_regions
     ):
@@ -424,8 +409,10 @@ def _periodic_mechanisms(
         elif region == "epilogue":
             epilogue_mechs.append((prob, dets, obs))
         else:
-            normalized = tuple(d - region * det_per_rep for d in dets)
-            replay_seqs[region].append((prob, normalized, obs))
+            replay_seqs[region].append((prob, dets, obs))
+    replay_seqs = [
+        _shifter(seq)(-j * det_per_rep) for j, seq in enumerate(replay_seqs)
+    ]
 
     # Certify shift invariance: how many leading replays produce the
     # same normalized (probability, detectors, observables) sequence?
@@ -449,37 +436,47 @@ def _periodic_mechanisms(
     # the leading reps - trailing replays; trailing replays and epilogue
     # shift forward by the dropped rounds.
     row_shift = (reps - surrogate_reps) * det_per_rep
-    out: List[ErrorMechanism] = []
-    for prob, dets, obs in prologue_mechs:
-        out.append(ErrorMechanism(prob, dets, obs))
+    out = list(prologue_mechs)
+    shift_base = _shifter(base)
     for j in range(reps - trailing):
-        offset = j * det_per_rep
-        for prob, dets, obs in base:
-            out.append(
-                ErrorMechanism(prob, tuple(d + offset for d in dets), obs)
-            )
+        out.extend(shift_base(j * det_per_rep))
     for j in range(prefix, surrogate_reps):
-        offset = j * det_per_rep + row_shift
-        for prob, dets, obs in replay_seqs[j]:
-            out.append(
-                ErrorMechanism(prob, tuple(d + offset for d in dets), obs)
-            )
-    for prob, dets, obs in epilogue_mechs:
-        out.append(
-            ErrorMechanism(prob, tuple(d + row_shift for d in dets), obs)
-        )
+        out.extend(_shifter(replay_seqs[j])(j * det_per_rep + row_shift))
+    out.extend(_shifter(epilogue_mechs)(row_shift))
     return out, None
+
+
+def _shifter(mechanisms: List[RawMechanism]):
+    """``shift(offset)``: ``mechanisms`` with detectors moved by ``offset``
+    (one vectorized add over the indices flattened once, then slices)."""
+    probs = [prob for prob, _, _ in mechanisms]
+    obs = [obs for _, _, obs in mechanisms]
+    ends = list(accumulate(len(dets) for _, dets, _ in mechanisms))
+    spans = list(zip([0] + ends[:-1], ends))
+    flat = np.fromiter(
+        chain.from_iterable(dets for _, dets, _ in mechanisms),
+        dtype=np.int64,
+        count=ends[-1] if ends else 0,
+    )
+
+    def shift(offset: int) -> List[RawMechanism]:
+        moved = (flat + offset).tolist()
+        return list(zip(probs, [tuple(moved[a:b]) for a, b in spans], obs))
+
+    return shift
 
 
 def _mechanism_symptoms_packed(circuit: "Circuit", mechanisms, regions):
     """Symptoms of every mechanism via packed bit-column propagation.
 
-    The packed analogue of :func:`_linear_mechanisms`' row-per-mechanism
-    frames: mechanism ``m`` lives in bit column ``m`` of the compiled
-    program's planes, deterministic steps conjugate all mechanisms at
-    once (64 per ALU op), and each noise step XORs its mechanisms' Pauli
-    flips in via a precomputed scatter
-    (:func:`repro.sim.compiled.injection_noise`).
+    The one DEM propagator, run over the whole circuit by
+    :func:`_linear_mechanisms` and over the surrogate by
+    :func:`_periodic_mechanisms`: mechanism ``m`` lives in bit column
+    ``m`` of the compiled program's planes, deterministic steps conjugate
+    all mechanisms at once (64 per ALU op), and each noise step XORs its
+    mechanisms' Pauli flips in via a precomputed scatter
+    (:func:`repro.sim.compiled.injection_noise`).  An op the compiled
+    program cannot run raises ``ValueError``.
 
     Returns ``(symptoms, mech_regions)``: per-mechanism
     ``(detectors, observables)`` index tuples and the per-mechanism

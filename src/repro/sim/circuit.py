@@ -131,10 +131,10 @@ class Circuit:
 
         DETECTOR / OBSERVABLE_INCLUDE targets must address measurement
         records that already exist (``0 <= record < num_measurements`` at
-        append time).  Forward or negative record references would make
-        the eager reference sampler and the compiled bit-packed pipeline
-        (which extracts detectors in one deferred XOR-reduce) disagree, so
-        they are rejected at construction instead.
+        append time).  The compiled bit-packed pipeline extracts
+        detectors in one deferred XOR-reduce, where a forward or negative
+        record reference would read the wrong flips, so they are rejected
+        at construction instead.
         """
         op = Operation(name, tuple(int(t) for t in targets), arg, tuple(args))
         if name in ("DETECTOR", "OBSERVABLE_INCLUDE"):

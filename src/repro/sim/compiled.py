@@ -1,10 +1,10 @@
 """Compiled, bit-packed circuit programs for the Pauli-frame sampler.
 
-The reference sampler (:meth:`repro.sim.frame.FrameSimulator.sample`)
-stores one uint8 per (shot, qubit) and walks every op target in a Python
-loop, so its cost is O(ops * targets * shots) interpreted work over a
-byte-per-bit representation.  This module closes that gap the way
-SIMD-style stabilizer samplers do:
+A direct Pauli-frame interpreter stores one uint8 per (shot, qubit) and
+walks every op target in a Python loop, so its cost is
+O(ops * targets * shots) interpreted work over a byte-per-bit
+representation.  This module closes that gap the way SIMD-style
+stabilizer samplers do:
 
 * **Compile once** -- :class:`CompiledProgram` lowers a
   :class:`~repro.sim.circuit.Circuit` into a flat program of fused steps.
@@ -29,11 +29,11 @@ SIMD-style stabilizer samplers do:
   hits are XOR-scattered as single bits into the packed planes
   (``(row, byte)`` plus a bit mask, the way :func:`injection_noise`
   plants DEM mechanisms), which stays exact on duplicate targets.  The
-  reference sampler calls the same :func:`draw_faults` on the same
-  stream, so for the same seed both samplers produce *bit-identical*
-  detector/observable samples.  The equivalence is property-tested in
-  ``tests/test_sim_compiled.py``; the unpacked sampler remains the
-  reference oracle.
+  byte-per-bit interpreter kept as a test oracle
+  (``tests/oracles/frame_v1.py``) calls the same :func:`draw_faults` on
+  the same stream, so for the same seed both produce *bit-identical*
+  detector/observable samples; ``tests/test_sim_compiled.py``
+  property-tests the equivalence.
 
 Shot-major vs detector-major: frames pack shots along rows so gate ops are
 contiguous; decoders key on per-shot syndromes.  :func:`transpose_packed`
@@ -59,13 +59,13 @@ from repro.sim.ops import (
     PAULI_2Q_CODES,
 )
 
-# The sparse sampler's cost driver: one increment per sample call (both
-# samplers), by the faults that call drew.  Faults are a deterministic
+# The sparse sampler's cost driver: one increment per sample call, by the
+# faults that call drew.  Faults are a deterministic
 # function of the shard seed, so shard deltas merge worker-count
 # invariantly.
 FAULTS = _metrics.counter(
     "repro_sim_faults_total",
-    "Faults drawn by the Pauli-frame samplers (sparse noise draws).",
+    "Faults drawn by the Pauli-frame sampler (sparse noise draws).",
 )
 
 # Frame-flip code of a constant-outcome channel (bit 1 = X, bit 0 = Z).
@@ -136,9 +136,9 @@ def draw_faults(
 ) -> Faults:
     """Sample the faults one noise step fires over ``targets x shots``.
 
-    The draw contract, which defines the sampled stream of both samplers
-    (the compiled program and the reference :meth:`FrameSimulator.sample`
-    call this one function, in op order): over the flattened target-major
+    The draw contract, which defines the sampled stream (the compiled
+    program calls this one function per noise step, in op order): over
+    the flattened target-major
     ``(targets, shots)`` block of ``n = targets * shots`` positions,
 
     1. ``k = rng.binomial(n, p)`` faults (nothing is drawn when ``n == 0``);
@@ -307,8 +307,9 @@ def lower_ops(ops, meas_start: int = 0, det_start: int = 0) -> LoweredSegment:
             steps.append((name, noise_sites(op), NoiseChannel.from_op(op)))
             continue
         if name not in _FUSABLE:
-            # Same contract as FrameSimulator._apply: unsupported ops
-            # (non-Clifford gates) fail loudly, never sample wrong.
+            # Unsupported ops (non-Clifford gates) fail loudly, never
+            # sample wrong -- and never yield a wrong DEM either, since
+            # extract_dem propagates mechanisms on this same program.
             raise ValueError(f"frame simulator cannot run {name}")
         # Fusable deterministic op: merge runs of the same kind.
         if name != pending_kind:

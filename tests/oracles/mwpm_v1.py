@@ -53,7 +53,6 @@ class ReferenceMWPM(BatchDecoder):
         self.decompose = False
         self._dense: "Tuple[np.ndarray, np.ndarray] | None" = None
         self._sparse: "SparseTables | bool | None" = None
-        self._token: "str | None" = None
         self._nx = nx.Graph()
         self._nx.add_node(BOUNDARY)
         for det in range(graph.num_detectors):
@@ -114,15 +113,6 @@ class ReferenceMWPM(BatchDecoder):
         for i in range(syndromes.shape[0]):
             out[i] = self.decode(syndromes[i])
         return out
-
-    def _cache_token(self) -> str:
-        """Content fingerprint keying the cross-batch syndrome cache."""
-        if self._token is None:
-            self._token = (
-                f"mwpm:{self.matcher}:{int(self.decompose)}:"
-                f"{self.graph.digest()}"
-            )
-        return self._token
 
     def _sparse_tables(self) -> "SparseTables | None":
         """Closed-form <= 2-defect corrections from the dense path tables.

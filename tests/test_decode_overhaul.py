@@ -1,17 +1,14 @@
 """Tests for the decode-phase overhaul.
 
-Covers the four layers the overhaul added to the decode path:
+Covers the layers the overhaul added to the decode path:
 
 * the batched union-find growth arena is bit-identical to the per-shot
   reference loop it replaced (``batched=False``), row for row;
 * the sparse <=2-defect fast path (closed-form table lookups shared by
   MWPM and union-find through ``BatchDecoder._decode_unique_rows``) is
   certified against the full decoders on exhaustive enumerations;
-* the cross-batch syndrome cache serves bit-identical rows, keys on the
-  decoder/graph content fingerprint, respects ``clear_caches()`` /
-  ``caching_disabled()`` / ``REPRO_SYNDROME_CACHE=0``, and leaves
-  ``EngineResult`` float-exactly invariant across worker counts and
-  cache settings;
+* MWPM's cross-call cluster memo serves bit-identical rows, and
+  ``EngineResult`` is float-exactly invariant across worker counts;
 * the shared-memory ``collect`` transport returns exactly the serial
   concatenation of the per-shard samples, keeps its tables valid after
   the engine closes, and leaks no ``/dev/shm`` segments.
@@ -27,9 +24,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.cache import cache_stats, caching_disabled, clear_caches
+from repro.core.cache import clear_caches
 from repro.decoder.base import _unmask_rows
-from repro.decoder.cache import SyndromeCache, cache_enabled, syndrome_cache
 from repro.decoder.engine import DecodingEngine, make_decoder
 from repro.decoder.graph import DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
@@ -38,14 +34,15 @@ from repro.noise.dem import extract_dem
 from repro.sim.frame import FrameSimulator
 from repro.sim.memory import memory_circuit, transversal_cnot_experiment
 
+from oracles import frame_v1
+
 
 @pytest.fixture(scope="module")
 def d3_setup():
     """d=3 memory circuit, its graph, and a sampled syndrome batch."""
     circuit = memory_circuit(3, 3, 0.004)
-    sim = FrameSimulator(circuit, rng=np.random.default_rng(19))
-    graph = DecodingGraph.from_dem(sim.detector_error_model())
-    detectors, observables = sim.sample(400)
+    graph = DecodingGraph.from_dem(extract_dem(circuit))
+    detectors, observables = frame_v1.sample(circuit, 400, np.random.default_rng(19))
     return circuit, graph, detectors.astype(np.uint8), observables
 
 
@@ -72,9 +69,8 @@ class TestBatchedUnionFind:
     @pytest.mark.parametrize("distance", [3, 5])
     def test_arena_bit_identical_to_reference(self, distance):
         circuit = memory_circuit(distance, distance, 0.003)
-        sim = FrameSimulator(circuit, rng=np.random.default_rng(23))
-        graph = DecodingGraph.from_dem(sim.detector_error_model())
-        detectors, _ = sim.sample(600)
+        graph = DecodingGraph.from_dem(extract_dem(circuit))
+        detectors, _ = frame_v1.sample(circuit, 600, np.random.default_rng(23))
         unique = _unique_rows(detectors.astype(np.uint8))
         batched = UnionFindDecoder(graph)
         arena = batched._decode_unique(unique)
@@ -165,132 +161,32 @@ class TestSparseFastPath:
         assert UnionFindDecoder(graph, batched=False)._sparse_tables() is None
 
 
-class TestSyndromeCacheUnit:
-    def test_lru_eviction_order(self):
-        cache = SyndromeCache(capacity=2)
-        cache.put("t", b"a", b"1")
-        cache.put("t", b"b", b"2")
-        assert cache.get("t", b"a") == b"1"  # refreshes 'a'
-        cache.put("t", b"c", b"3")  # evicts 'b', the LRU entry
-        assert cache.get("t", b"b") is None
-        assert cache.get("t", b"a") == b"1"
-        assert cache.get("t", b"c") == b"3"
-        info = cache.cache_info()
-        assert (info.maxsize, info.currsize) == (2, 2)
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            SyndromeCache(capacity=0)
-
-
-class TestSyndromeCacheIntegration:
-    def _packed_unique(self, detectors):
-        return np.packbits(_unique_rows(detectors), axis=1)
-
-    def test_repeat_decode_hits_bit_identical(self, d3_setup):
+class TestClusterCache:
+    def test_repeat_decode_bit_identical(self, d3_setup):
+        """MWPM's cross-call cluster memo never changes a decoded row."""
         _, graph, detectors, _ = d3_setup
-        clear_caches()
+        packed = np.packbits(_unique_rows(detectors), axis=1)
         decoder = MWPMDecoder(graph)
-        packed = self._packed_unique(detectors)
-        num_det = graph.num_detectors
-        before = syndrome_cache().cache_info()
-        first = decoder.decode_packed(packed, num_det)
-        mid = syndrome_cache().cache_info()
-        assert mid.misses - before.misses == packed.shape[0]
-        second = decoder.decode_packed(packed, num_det)
-        after = syndrome_cache().cache_info()
-        assert after.hits - mid.hits == packed.shape[0]
-        assert np.array_equal(first, second)
-        with caching_disabled():
-            uncached = decoder.decode_packed(packed, num_det)
-        assert np.array_equal(first, uncached)
+        cold = decoder.decode_packed(packed, graph.num_detectors)
+        assert decoder._cluster_cache
+        warm = decoder.decode_packed(packed, graph.num_detectors)
+        fresh = MWPMDecoder(graph).decode_packed(packed[::-1], graph.num_detectors)
+        assert np.array_equal(cold, warm)
+        assert np.array_equal(cold, fresh[::-1])
 
-    def test_registered_and_emptied_by_clear_caches(self, d3_setup):
-        _, graph, detectors, _ = d3_setup
-        decoder = MWPMDecoder(graph)
-        packed = self._packed_unique(detectors)
-        decoder.decode_packed(packed, graph.num_detectors)
-        assert "repro.decoder.syndrome" in cache_stats()
-        assert syndrome_cache().cache_info().currsize > 0
-        clear_caches()
-        assert syndrome_cache().cache_info().currsize == 0
-        # Still correct (repopulates) after the flush.
-        again = decoder.decode_packed(packed, graph.num_detectors)
-        with caching_disabled():
-            assert np.array_equal(
-                again, decoder.decode_packed(packed, graph.num_detectors)
-            )
 
-    def test_token_fingerprints_graph_and_config(self, d3_setup):
-        _, graph, _, _ = d3_setup
-        # A different edge probability is a different decoding graph, so
-        # the digest -- and with it every cache key -- must change.
-        other = DecodingGraph(graph.num_detectors, graph.num_observables)
-        for i, edge in enumerate(graph.edges):
-            p = edge.probability * (1.5 if i == 0 else 1.0)
-            other.add_mechanism(edge.detectors, p, edge.observables)
-        assert graph.digest() != other.digest()
-        assert (
-            MWPMDecoder(graph)._cache_token()
-            != MWPMDecoder(other)._cache_token()
-        )
-        # Decoder configuration is part of the fingerprint too.
-        assert (
-            UnionFindDecoder(graph)._cache_token()
-            != UnionFindDecoder(graph, batched=False)._cache_token()
-        )
-        assert (
-            MWPMDecoder(graph)._cache_token()
-            != UnionFindDecoder(graph)._cache_token()
-        )
-
-    def test_cross_decoder_isolation(self, d3_setup):
-        """Cached MWPM rows must never be served to union-find."""
-        _, graph, detectors, _ = d3_setup
-        clear_caches()
-        packed = self._packed_unique(detectors)
-        num_det = graph.num_detectors
-        MWPMDecoder(graph).decode_packed(packed, num_det)
-        before = syndrome_cache().cache_info()
-        uf = UnionFindDecoder(graph)
-        cached = uf.decode_packed(packed, num_det)
-        after = syndrome_cache().cache_info()
-        assert after.misses - before.misses == packed.shape[0]
-        assert after.hits == before.hits
-        with caching_disabled():
-            assert np.array_equal(cached, uf.decode_packed(packed, num_det))
-
-    def test_env_switch_disables_cache(self, d3_setup, monkeypatch):
-        _, graph, detectors, _ = d3_setup
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "0")
-        assert not cache_enabled()
-        decoder = MWPMDecoder(graph)
-        packed = self._packed_unique(detectors)
-        before = syndrome_cache().cache_info()
-        out = decoder.decode_packed(packed, graph.num_detectors)
-        after = syndrome_cache().cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
-        monkeypatch.delenv("REPRO_SYNDROME_CACHE")
-        assert np.array_equal(
-            out, decoder.decode_packed(packed, graph.num_detectors)
-        )
-
-    def test_engine_results_invariant_under_workers_and_cache(
-        self, d3_setup, monkeypatch
-    ):
-        """jobs=1 vs jobs=4, cache on vs off: float-exact EngineResults."""
+class TestEngineInvariance:
+    def test_engine_results_invariant_under_workers(self, d3_setup):
+        """workers=1 vs workers=4: float-exact EngineResults."""
         circuit, _, _, _ = d3_setup
         results = {}
-        for cache_env, workers in itertools.product(("1", "0"), (1, 4)):
-            monkeypatch.setenv("REPRO_SYNDROME_CACHE", cache_env)
+        for workers in (1, 4):
             clear_caches()
             with DecodingEngine(
                 circuit, "mwpm", shard_shots=256, workers=workers
             ) as engine:
-                results[(cache_env, workers)] = engine.run(2000, seed=5)
-        reference = results[("1", 1)]
-        for key, result in results.items():
-            assert result == reference, (key, result, reference)
+                results[workers] = engine.run(2000, seed=5)
+        assert results[1] == results[4], results
 
 
 class TestSharedMemoryTransport:

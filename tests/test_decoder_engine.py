@@ -24,16 +24,17 @@ from repro.noise.dem import extract_dem
 from repro.sim.frame import DetectorErrorModel, ErrorMechanism, FrameSimulator
 from repro.sim.memory import memory_circuit, transversal_cnot_experiment
 
+from oracles import frame_v1
 from oracles.mwpm_v1 import ReferenceMWPM
+from oracles.per_shot import decode_per_shot
 
 
 @pytest.fixture(scope="module")
 def memory_setup():
     """d=3 memory circuit with its DEM and a sampled syndrome batch."""
     circuit = memory_circuit(3, 3, 0.005)
-    sim = FrameSimulator(circuit, rng=np.random.default_rng(7))
-    dem = sim.detector_error_model()
-    detectors, observables = sim.sample(300)
+    dem = extract_dem(circuit)
+    detectors, observables = frame_v1.sample(circuit, 300, np.random.default_rng(7))
     return circuit, dem, detectors, observables
 
 
@@ -83,18 +84,19 @@ class TestDedupEquality:
         decoder = make_decoder(name, dem)
         np.testing.assert_array_equal(
             decoder.decode_batch(detectors),
-            decoder.decode_batch(detectors, dedup=False),
+            decode_per_shot(decoder, detectors),
         )
 
     def test_sequential_decoder(self):
         builder = transversal_cnot_experiment(3, 4, 0.004, [1, 2])
-        sim = FrameSimulator(builder.circuit, rng=np.random.default_rng(9))
-        dem = sim.detector_error_model()
+        dem = extract_dem(builder.circuit)
         decoder = make_decoder("sequential", dem, detector_meta=builder.detector_meta)
-        detectors, _ = sim.sample(200)
+        detectors, _ = frame_v1.sample(
+            builder.circuit, 200, np.random.default_rng(9)
+        )
         np.testing.assert_array_equal(
             decoder.decode_batch(detectors),
-            decoder.decode_batch(detectors, dedup=False),
+            decode_per_shot(decoder, detectors),
         )
 
     def test_random_syndromes(self, memory_setup):
@@ -105,7 +107,7 @@ class TestDedupEquality:
         decoder = make_decoder("mwpm", dem)
         np.testing.assert_array_equal(
             decoder.decode_batch(syndromes),
-            decoder.decode_batch(syndromes, dedup=False),
+            decode_per_shot(decoder, syndromes),
         )
 
     def test_empty_batch(self, memory_setup):
@@ -121,9 +123,7 @@ class TestDedupEquality:
         syndromes = np.zeros((5, 0), dtype=np.uint8)
         out = decoder.decode_batch(syndromes)
         assert out.shape == (5, dem.num_observables)
-        np.testing.assert_array_equal(
-            out, decoder.decode_batch(syndromes, dedup=False)
-        )
+        np.testing.assert_array_equal(out, decode_per_shot(decoder, syndromes))
 
 
 class TestEngineDeterminism:
@@ -336,20 +336,19 @@ class TestEngineAnalysisIntegration:
 class TestPackedPipeline:
     """The packed engine must agree bit for bit with the unpacked pipeline.
 
-    The unpacked pipeline is replayed serially here: byte-per-bit
-    ``FrameSimulator.sample`` + ``decode_batch`` over the engine's shard
-    seeds.
+    The unpacked pipeline is replayed serially here: the byte-per-bit
+    oracle sampler (``tests/oracles/frame_v1.py``) + ``decode_batch`` over
+    the engine's shard seeds.
     """
 
     @staticmethod
     def _unpacked_replay(engine, shots, seed):
-        sim = FrameSimulator(engine.circuit)
         sizes = engine._shard_sizes(shots)
         children = np.random.SeedSequence(seed).spawn(len(sizes))
         failures = 0
         for size, child in zip(sizes, children):
-            detectors, observables = sim.sample(
-                size, rng=np.random.default_rng(child)
+            detectors, observables = frame_v1.sample(
+                engine.circuit, size, np.random.default_rng(child)
             )
             wrong = engine.decoder.decode_batch(detectors) ^ observables
             if engine.observable is None:
@@ -405,8 +404,8 @@ class TestPackedPipeline:
             decoder.decode_batch(detectors),
         )
         np.testing.assert_array_equal(
-            decoder.decode_packed(packed, dem.num_detectors, dedup=False),
-            decoder.decode_batch(detectors, dedup=False),
+            decoder.decode_packed(packed, dem.num_detectors),
+            decode_per_shot(decoder, detectors),
         )
 
     def test_collect_matches_reference_sampling(self, memory_setup):
@@ -415,9 +414,8 @@ class TestPackedPipeline:
         det_keys, obs_keys = engine.collect(300, seed=9)
         assert det_keys.shape == (300, (circuit.num_detectors + 7) // 8)
         root = np.random.SeedSequence(9)
-        sim = FrameSimulator(circuit)
         parts = [
-            sim.sample(size, rng=np.random.default_rng(child))[0]
+            frame_v1.sample(circuit, size, np.random.default_rng(child))[0]
             for size, child in zip([128, 128, 44], root.spawn(3))
         ]
         np.testing.assert_array_equal(
@@ -527,13 +525,11 @@ class TestEngineSlow:
 
     def test_low_p_dedup_matches_naive_at_scale(self):
         circuit = memory_circuit(5, 6, 1e-3)
-        sim = FrameSimulator(circuit, rng=np.random.default_rng(31))
-        dem = sim.detector_error_model()
-        decoder = make_decoder("mwpm", dem)
-        detectors, _ = sim.sample(4000)
+        decoder = make_decoder("mwpm", extract_dem(circuit))
+        detectors, _ = frame_v1.sample(circuit, 4000, np.random.default_rng(31))
         np.testing.assert_array_equal(
             decoder.decode_batch(detectors),
-            decoder.decode_batch(detectors, dedup=False),
+            decode_per_shot(decoder, detectors),
         )
 
     def test_worker_invariance_d5(self):

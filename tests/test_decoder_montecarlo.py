@@ -21,6 +21,8 @@ from repro.decoder.sequential import SequentialCNOTDecoder
 from repro.sim.frame import FrameSimulator
 from repro.sim.memory import transversal_cnot_experiment
 
+from oracles import frame_v1
+
 
 @pytest.fixture(scope="module")
 def memory_rates():
@@ -83,11 +85,10 @@ class TestTransversalCnotMonteCarlo:
 
     def test_sequential_decoder_noiseless(self):
         builder = transversal_cnot_experiment(3, 4, 0.0, [1, 2])
-        sim = FrameSimulator(builder.circuit, rng=np.random.default_rng(0))
         # DEM of a noiseless circuit is empty; decoder still runs.
-        dem = sim.detector_error_model()
+        dem = FrameSimulator(builder.circuit).detector_error_model()
         decoder = SequentialCNOTDecoder(dem, builder.detector_meta)
-        dets, obs = sim.sample(16)
+        dets, obs = frame_v1.sample(builder.circuit, 16, np.random.default_rng(0))
         assert not decoder.decode_batch(dets).any()
         assert not obs.any()
 

@@ -1,7 +1,7 @@
 """Property tests for the compiled bit-packed frame pipeline.
 
-The unpacked sampler (:meth:`FrameSimulator.sample`) is the reference
-oracle: for the same seed, the compiled packed pipeline must reproduce its
+The byte-per-bit sampler of ``tests/oracles/frame_v1.py`` is the
+reference oracle: for the same seed, the compiled packed pipeline must reproduce its
 detector and observable tables *bit for bit* -- across every op type
 (including the SWAP/CZ/MX/DEPOLARIZE2 edge paths), fused-gate runs,
 duplicate targets, and awkward shot counts.  A tableau simulator
@@ -12,18 +12,23 @@ independent implementation.
 import numpy as np
 import pytest
 
+from repro.noise.dem import DetectorErrorModel, _linear_mechanisms, extract_dem
+from repro.noise.models import BiasedPauli
 from repro.sim.circuit import Circuit
 from repro.sim.compiled import CompiledProgram, transpose_packed
 from repro.sim.frame import FrameSimulator
 from repro.sim.memory import memory_circuit, transversal_cnot_experiment
 from repro.sim.tableau import TableauSimulator
 
+from oracles import frame_v1
+
 
 def assert_bit_identical(circuit: Circuit, shots: int, seed: int) -> None:
     """Packed and unpacked samples of the same seed must agree exactly."""
-    sim = FrameSimulator(circuit)
-    det_ref, obs_ref = sim.sample(shots, rng=np.random.default_rng(seed))
-    det_keys, obs_keys = sim.sample_packed(shots, rng=np.random.default_rng(seed))
+    det_ref, obs_ref = frame_v1.sample(circuit, shots, np.random.default_rng(seed))
+    det_keys, obs_keys = FrameSimulator(circuit).sample_packed(
+        shots, rng=np.random.default_rng(seed)
+    )
     assert det_keys.shape == (shots, (circuit.num_detectors + 7) // 8)
     assert obs_keys.shape == (shots, (circuit.num_observables + 7) // 8)
     det = np.unpackbits(det_keys, axis=1, count=circuit.num_detectors)
@@ -229,11 +234,22 @@ class TestCompiledProgramStructure:
         # silently wrong tables.
         circuit = Circuit().h(0).t(0).measure(0).detector([0])
         with pytest.raises(ValueError, match="cannot run T"):
-            FrameSimulator(circuit).sample(8)
+            frame_v1.sample(circuit, 8)
         with pytest.raises(ValueError, match="cannot run T"):
             FrameSimulator(circuit).sample_packed(8)
         with pytest.raises(ValueError, match="cannot run CCZ"):
             CompiledProgram(Circuit().ccz(0, 1, 2).measure(0).detector([0]))
+
+    def test_non_clifford_rejected_by_linear_dem(self):
+        # DEM extraction propagates mechanisms on the same compiled
+        # program, so it refuses the op too instead of emitting a model
+        # that skips it.
+        circuit = Circuit().reset(0).x_error([0], 0.1).t(0).measure(0)
+        circuit.detector([0])
+        with pytest.raises(ValueError, match="cannot run T"):
+            extract_dem(circuit, method="linear")
+        with pytest.raises(ValueError, match="cannot run T"):
+            frame_v1.linear_mechanisms(circuit)
 
     def test_transpose_packed_round_trip(self):
         rng = np.random.default_rng(4)
@@ -279,7 +295,7 @@ class TestPackedKeyLayout:
         det_keys, obs_keys = sim.sample_packed(
             37, rng=np.random.default_rng(8)
         )
-        det_ref, obs_ref = sim.sample(37, rng=np.random.default_rng(8))
+        det_ref, obs_ref = frame_v1.sample(circuit, 37, np.random.default_rng(8))
         for keys, ref in ((det_keys, det_ref), (obs_keys, obs_ref)):
             assert keys.flags.c_contiguous
             assert keys.shape == (37, (ref.shape[1] + 7) // 8)
@@ -287,6 +303,44 @@ class TestPackedKeyLayout:
                 np.unpackbits(keys, axis=1, count=ref.shape[1]), ref
             )
         det_keys.view(np.dtype((np.void, det_keys.shape[1])))
+
+
+def _dem_families():
+    """Every circuit family the DEM feeds, at d=3 and d=5."""
+    for d in (3, 5):
+        for rounds in (1, d + 1):
+            yield f"memory-d{d}-r{rounds}", memory_circuit(d, rounds, 1e-3)
+        for basis in ("Z", "X"):
+            for cnots in ([1], [1, 2]):
+                builder = transversal_cnot_experiment(
+                    d, 3, 2e-3, cnots, basis=basis
+                )
+                yield f"cnot-d{d}-{basis}-{len(cnots)}", builder.circuit
+        yield f"biased-d{d}", memory_circuit(
+            d, d, 2e-3, basis="X", noise=BiasedPauli(2e-3, bias=8.0)
+        )
+
+
+DEM_FAMILIES = dict(_dem_families())
+
+
+class TestPackedDemPropagation:
+    """Linear DEM extraction (one packed bit column per mechanism) equals
+    the oracle's row-per-mechanism byte propagation exactly."""
+
+    @pytest.mark.parametrize("name", sorted(DEM_FAMILIES))
+    def test_linear_dem_equals_row_propagation(self, name):
+        circuit = DEM_FAMILIES[name]
+        reference = frame_v1.linear_mechanisms(circuit)
+        assert _linear_mechanisms(circuit) == [
+            (m.probability, m.detectors, m.observables) for m in reference
+        ]
+        expected = DetectorErrorModel(
+            [m for m in reference if m.detectors or m.observables],
+            circuit.num_detectors,
+            circuit.num_observables,
+        ).merged()
+        assert extract_dem(circuit, method="linear") == expected
 
 
 class TestTableauCrossCheck:

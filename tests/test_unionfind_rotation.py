@@ -10,6 +10,8 @@ from repro.decoder.union_find import UnionFindDecoder
 from repro.sim.frame import DetectorErrorModel, ErrorMechanism, FrameSimulator
 from repro.sim.memory import memory_circuit
 
+from oracles import frame_v1
+
 
 def chain_dem():
     return DetectorErrorModel(
@@ -45,10 +47,9 @@ class TestUnionFind:
         # Union-find must decode a real d=3 memory circuit and correct a
         # large majority of shots at low noise.
         circuit = memory_circuit(3, 3, 0.002)
-        sim = FrameSimulator(circuit, rng=np.random.default_rng(3))
-        dem = sim.detector_error_model()
+        dem = FrameSimulator(circuit).detector_error_model()
         dec = UnionFindDecoder(DecodingGraph.from_dem(dem))
-        dets, obs = sim.sample(400)
+        dets, obs = frame_v1.sample(circuit, 400, np.random.default_rng(3))
         predictions = dec.decode_batch(dets)
         failures = int(np.sum(predictions[:, 0] ^ obs[:, 0]))
         assert failures / 400 < 0.1
@@ -56,10 +57,9 @@ class TestUnionFind:
     def test_not_much_worse_than_mwpm(self):
         # The accuracy gap vs MWPM is bounded (the paper's alpha story).
         circuit = memory_circuit(3, 3, 0.004)
-        sim = FrameSimulator(circuit, rng=np.random.default_rng(5))
-        dem = sim.detector_error_model()
+        dem = FrameSimulator(circuit).detector_error_model()
         graph = DecodingGraph.from_dem(dem)
-        dets, obs = sim.sample(400)
+        dets, obs = frame_v1.sample(circuit, 400, np.random.default_rng(5))
         uf_failures = int(
             np.sum(UnionFindDecoder(graph).decode_batch(dets)[:, 0] ^ obs[:, 0])
         )
